@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import random
+import string
 import sys
 from dataclasses import dataclass
 
@@ -33,13 +34,10 @@ _ALGORITHMS = {"repr": "representation", "synd": "syndrome", "oracle": "oracle"}
 def parse_word(text: str) -> int:
     """40-bit word from a bit string (40 chars) or hex string (10 chars)."""
     text = text.strip()
-    if len(text) == 40 and not set(text) - {"0", "1"}:
+    if len(text) == 40 and not set(text) - set("01"):
         return int(text, 2)
-    if len(text) == 10:
-        try:
-            return int(text, 16)
-        except ValueError:
-            pass
+    if len(text) == 10 and not set(text) - set(string.hexdigits):
+        return int(text, 16)
     raise ValueError(
         f"cannot parse {text!r}: need 40 bits over 01 or 10 hex digits"
     )

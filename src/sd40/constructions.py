@@ -16,14 +16,9 @@ import functools
 from dataclasses import dataclass
 
 from .gf4 import Gf4Word
-from .quaternary import (
-    QuaternaryGeneratorMatrix,
-    b10_matrix,
-    e10_matrix,
-)
+from .projection import N_BITS, N_COLS
+from .quaternary import QuaternaryGeneratorMatrix, b10_matrix, e10_matrix
 
-N_BITS = 40
-N_COLS = 10
 DIMENSION = 20
 CODE_SIZE = 1 << DIMENSION
 

@@ -11,11 +11,18 @@ error budget per case is
     case IV  [7;3]   0 unknown errors,      3 erasures
 
 since unique decoding of the projected word needs 2*errors + erasures
-< 4.  The decoders differ only in how the corrected projection is found:
-the representation decoder probes codeword membership directly (either
-against the enumerated table or against the orbit-type expansion), the
-syndrome decoder solves s = H conj(e)^T for the error word, H being the
-five GF(4)-basis rows of the code's generator matrix.
+< 4.  The case is one lookup indexed by the 10-bit column parity vector.
+
+E10 is GF(4)-linear, so the projection search depends on the budget
+(erasure columns, max_errors) and not on the word.  Each of the 187 valid
+budgets gets one lazily built list of the projection error words inside
+it (9,592 in all), and the decoders differ only in how they search it.
+The representation decoder probes codeword membership of y + e for every
+listed e (against the enumerated table or the orbit-type expansion).  The
+syndrome decoder looks s = H conj(y)^T up in a per-budget table from
+syndrome to listed error word, H being the five GF(4)-basis rows of the
+code's generator matrix; building that table checks that no two listed
+words share a syndrome, the uniqueness the budget bound promises.
 
 The corrected projection is then written back into the array by the
 column-rewrite lift; a received word is decodable exactly when the lift
@@ -31,16 +38,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf4 import CONJ, MUL, Gf4Word, word_with_symbol
-from .projection import LiftError, lift, parity_profile, proj_bits
+from .gf4 import CONJ, MUL, Gf4Word, InternalInvariantError
+# parity_profile is not called here but stays a name of this module:
+# perfbench/spans.py wraps it along with the decoder stages.
+from .projection import (N_BITS, N_COLS, LiftError, lift, parity_profile,  # noqa: F401
+                         parity_vector, proj_bits)
 from .quaternary import e10_matrix, e10_table, orbit_lookup
 
-N_COLS = 10
 FAILURE_REASON = "more than three errors occurred"
-
-
-class InternalInvariantError(RuntimeError):
-    """A state the decoding theory rules out; indicates a bug, not input."""
 
 
 @dataclass(frozen=True)
@@ -61,19 +66,27 @@ class CaseLabel:
 _CASE_IDS = ("I", "II", "III", "IV")
 
 
+def _case_table() -> tuple[CaseLabel | None, ...]:
+    """Column parity vector -> case.  The columns off the majority parity
+    are the erasures; a vector with four or more of them has no case."""
+    table: list[CaseLabel | None] = [None] * (1 << N_COLS)
+    for k, case_id in enumerate(_CASE_IDS):
+        for minority in itertools.combinations(range(1, N_COLS + 1), k):
+            mask = sum(1 << (c - 1) for c in minority)
+            # The minority columns are the odd ones under an even majority
+            # and the even ones under an odd majority.
+            for majority, parities in ((0, mask), (1, mask ^ ((1 << N_COLS) - 1))):
+                table[parities] = CaseLabel(case_id, majority, minority, 1 if k <= 1 else 0)
+    return tuple(table)
+
+
+_CASES = _case_table()
+
+
 def classify_case(v: int) -> CaseLabel | None:
-    """Map the parity profile to a case, or None when four or more
+    """Map the column parities to a case, or None when four or more
     columns disagree with the majority (undecodable)."""
-    profile = parity_profile(v)
-    minority = profile.minority_columns
-    if len(minority) > 3:
-        return None
-    return CaseLabel(
-        _CASE_IDS[len(minority)],
-        profile.majority_parity,
-        minority,
-        1 if len(minority) <= 1 else 0,
-    )
+    return _CASES[parity_vector(v)]
 
 
 @dataclass(frozen=True)
@@ -90,43 +103,30 @@ class DecodeOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Finding the corrected projection: membership probing
+# The erasure budgets and the representation search
 # ---------------------------------------------------------------------------
 
 
-def _probe_candidates(y: int, erasures: tuple[int, ...], max_errors: int,
-                      members: frozenset[int]) -> set[int]:
-    """Codewords agreeing with y outside the erasure columns except in at
-    most max_errors further positions.  Erasure values are scanned over
-    all of GF(4) -- a flipped top-row bit changes a column's parity but
-    not its projection, so an erased position may keep its value."""
-    idx = [c - 1 for c in erasures]
-    base = y
-    for i in idx:
-        base = word_with_symbol(base, i, 0)
-    found: set[int] = set()
-    for vals in itertools.product(range(4), repeat=len(idx)):
-        w = base
-        for i, val in zip(idx, vals):
-            w |= val << (2 * i)
-        if w in members:
-            found.add(w)
-    if not found and max_errors:
-        for j in range(N_COLS):
-            if j in idx:
-                continue
-            for delta in (1, 2, 3):
-                flipped = y ^ (delta << (2 * j))
-                b = flipped
-                for i in idx:
-                    b = word_with_symbol(b, i, 0)
-                for vals in itertools.product(range(4), repeat=len(idx)):
-                    w = b
-                    for i, val in zip(idx, vals):
-                        w |= val << (2 * i)
-                    if w in members:
-                        found.add(w)
-    return found
+@functools.lru_cache(maxsize=None)
+def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, ...]:
+    """Every projection error word inside the budget: any value (zero
+    included) on each erasure column plus at most max_errors nonzero
+    symbols on the other columns.  An erased position may keep its value
+    because a flipped top-row bit changes a column's parity but not its
+    projection."""
+    if max_errors < 0 or 2 * max_errors + len(erasures) >= 4:
+        raise ValueError("budget violates unique-decoding bound")
+    if len(set(erasures)) != len(erasures) or not set(erasures) <= set(range(1, N_COLS + 1)):
+        raise ValueError(f"erasures must be distinct columns 1..{N_COLS}: {erasures}")
+    fills = [0]
+    for c in erasures:
+        fills = [f | val << (2 * (c - 1)) for f in fills for val in range(4)]
+    patterns = list(fills)
+    if max_errors:  # the bound leaves room for one error at most
+        for c in range(1, N_COLS + 1):
+            if c not in erasures:
+                patterns += [f | val << (2 * (c - 1)) for val in (1, 2, 3) for f in fills]
+    return tuple(patterns)
 
 
 def find_closest_in_e10(
@@ -138,14 +138,13 @@ def find_closest_in_e10(
     """The unique codeword within the (erasures, max_errors) budget of y,
     or None.  Raises InternalInvariantError if two candidates fit, which
     the budget bound 2*max_errors + len(erasures) < 4 rules out."""
-    if 2 * max_errors + len(erasures) >= 4:
-        raise ValueError("budget violates unique-decoding bound")
+    patterns = _budget_patterns(tuple(erasures), max_errors)
     if members is None:
         members = e10_table().word_set
-    found = _probe_candidates(y.bits, erasures, max_errors, members)
+    found = members.intersection(map(y.bits.__xor__, patterns))
     if len(found) > 1:
         raise InternalInvariantError(f"{len(found)} codewords inside budget")
-    return Gf4Word(found.pop(), N_COLS) if found else None
+    return Gf4Word(next(iter(found)), N_COLS) if found else None
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,28 +191,39 @@ def _syndrome_contrib() -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _single_error_syndromes() -> dict[int, tuple[int, int]]:
-    """Nonzero syndrome -> (0-based position, error value).  Distinct
-    because any two columns of H are GF(4)-independent (d = 4)."""
-    table: dict[int, tuple[int, int]] = {}
+def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
+    """Byte tables: entry b of table k is the syndrome of the symbols at
+    0-based positions 4k..4k+3 packed in byte b of a word (the last table
+    covers positions 8 and 9 only).  The syndrome is GF(2)-linear, so a
+    word's is the XOR of its three byte syndromes."""
     contrib = _syndrome_contrib()
-    for pos in range(N_COLS):
-        for val in (1, 2, 3):
-            s = contrib[pos][val]
-            if s == 0 or s in table:
-                raise InternalInvariantError("dependent parity-check columns")
-            table[s] = (pos, val)
-    return table
+    tables = []
+    for k in range(3):
+        table = [0]
+        for pos in range(4 * k, min(4 * k + 4, N_COLS)):
+            table = [s ^ c for c in contrib[pos] for s in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def syndrome(y: Gf4Word) -> Gf4Word:
     """H conj(y)^T as a 5-symbol word; zero exactly on codewords."""
-    contrib = _syndrome_contrib()
-    s = 0
+    s0, s1, s2 = _syndrome_bytes()
     bits = y.bits
-    for pos in range(N_COLS):
-        s ^= contrib[pos][(bits >> (2 * pos)) & 3]
-    return Gf4Word(s, 5)
+    return Gf4Word(s0[bits & 0xFF] ^ s1[(bits >> 8) & 0xFF] ^ s2[bits >> 16], 5)
+
+
+@functools.lru_cache(maxsize=None)
+def _syndrome_table(erasures: tuple[int, ...], max_errors: int) -> dict[int, int]:
+    """Packed syndrome -> the error word inside the budget that has it."""
+    table: dict[int, int] = {}
+    for e in _budget_patterns(erasures, max_errors):
+        s = syndrome(Gf4Word(e, N_COLS)).bits
+        if table.setdefault(s, e) != e:
+            raise InternalInvariantError(
+                f"error words {table[s]:#x} and {e:#x} share syndrome {s:#x}"
+            )
+    return table
 
 
 def solve_syndrome(
@@ -223,32 +233,9 @@ def solve_syndrome(
 ) -> Gf4Word | None:
     """The unique error word e with s = H conj(e)^T supported on the
     erasure columns plus at most max_errors further positions, or None.
-
-    Scans all 4^len(erasures) coefficient choices (zero included: an
-    erased column may carry no projection error) and resolves a leftover
-    residual through the single-column syndrome table.
-    """
-    if 2 * max_errors + len(erasures) >= 4:
-        raise ValueError("budget violates unique-decoding bound")
-    contrib = _syndrome_contrib()
-    single = _single_error_syndromes()
-    idx = [c - 1 for c in erasures]
-    solutions: set[int] = set()
-    for vals in itertools.product(range(4), repeat=len(idx)):
-        residual = s.bits
-        e = 0
-        for i, val in zip(idx, vals):
-            residual ^= contrib[i][val]
-            e |= val << (2 * i)
-        if residual == 0:
-            solutions.add(e)
-        elif max_errors:
-            hit = single.get(residual)
-            if hit is not None and hit[0] not in idx:
-                solutions.add(e | (hit[1] << (2 * hit[0])))
-    if len(solutions) > 1:
-        raise InternalInvariantError(f"{len(solutions)} error words fit syndrome")
-    return Gf4Word(solutions.pop(), N_COLS) if solutions else None
+    An erased column may carry no projection error."""
+    e = _syndrome_table(tuple(erasures), max_errors).get(s.bits)
+    return None if e is None else Gf4Word(e, N_COLS)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +247,8 @@ def _decode(v: int, algorithm: str, code: str,
              members: frozenset[int] | None = None) -> DecodeOutcome:
     if code not in ("DE", "SE"):
         raise ValueError(f"code must be DE or SE, got {code!r}")
+    if not 0 <= v < 1 << N_BITS:
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
 
     def failure(case: CaseLabel | None) -> DecodeOutcome:
         return DecodeOutcome(algorithm, False, None, None, (), case, FAILURE_REASON)

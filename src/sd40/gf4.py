@@ -31,6 +31,10 @@ ALPHABET = "01wW"
 _VALUE_OF_CHAR = {c: v for v, c in enumerate(ALPHABET)}
 
 
+class InternalInvariantError(RuntimeError):
+    """A state the decoding theory rules out; indicates a bug, not input."""
+
+
 def add(a: int, b: int) -> int:
     """Sum in GF(4); XOR under the two-bit encoding."""
     return a ^ b
@@ -54,11 +58,6 @@ def trace(a: int) -> int:
 def word_symbol(bits: int, i: int) -> int:
     """Symbol at 0-based position i of a packed word."""
     return (bits >> (2 * i)) & 3
-
-
-def word_with_symbol(bits: int, i: int, value: int) -> int:
-    """Packed word with position i replaced by value."""
-    return (bits & ~(3 << (2 * i))) | (value << (2 * i))
 
 
 def nonzero_mask(n: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf4 import Gf4Word
+from .gf4 import Gf4Word, InternalInvariantError, nonzero_mask
 
 N_BITS = 40
 N_COLS = 10
@@ -40,6 +40,32 @@ COLUMN_PATTERNS = (
 )
 
 
+def _byte_tables(per_nibble: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
+    """Five 256-entry tables, one per byte of a 40-bit word.  Byte k holds
+    columns 10-2k (low nibble) and 9-2k (high nibble); entry b places
+    per_nibble of each column at width*(column-1).  Every column has its
+    own field, so a word's image is the OR of its five byte images."""
+    return tuple(
+        tuple(
+            per_nibble[b & 0xF] << (width * (N_COLS - 1 - 2 * k))
+            | per_nibble[b >> 4] << (width * (N_COLS - 2 - 2 * k))
+            for b in range(256)
+        )
+        for k in range(5)
+    )
+
+
+_PROJ_BYTES = _byte_tables(_PROJ_OF_NIBBLE, 2)
+_PARITY_BYTES = _byte_tables(_PARITY_OF_NIBBLE, 1)
+
+# 10-bit column mask -> the same mask with bit i moved to bit 2i, the
+# position layout of packed GF(4) words.
+_SPREAD = [0]
+for _i in range(N_COLS):
+    _SPREAD += [s | 1 << (2 * _i) for s in _SPREAD]
+_LOW_BITS = nonzero_mask(N_COLS)  # the low bit of every symbol
+
+
 class LiftError(Exception):
     """No consistent rewrite of the array within the flip budget."""
 
@@ -49,17 +75,18 @@ def column_nibble(v: int, col: int) -> int:
     return (v >> (4 * (N_COLS - col))) & 0xF
 
 
-def replace_column(v: int, col: int, nibble: int) -> int:
-    shift = 4 * (N_COLS - col)
-    return (v & ~(0xF << shift)) | (nibble << shift)
-
-
 def proj_bits(v: int) -> int:
     """Packed projection of a 40-bit word (hot-path form)."""
-    out = 0
-    for c in range(N_COLS):
-        out |= _PROJ_OF_NIBBLE[(v >> (4 * c)) & 0xF] << (2 * (N_COLS - 1 - c))
-    return out
+    p0, p1, p2, p3, p4 = _PROJ_BYTES
+    return (p0[v & 0xFF] | p1[(v >> 8) & 0xFF] | p2[(v >> 16) & 0xFF]
+            | p3[(v >> 24) & 0xFF] | p4[(v >> 32) & 0xFF])
+
+
+def parity_vector(v: int) -> int:
+    """Column parities of a 40-bit word; bit c-1 is 1 when column c is odd."""
+    p0, p1, p2, p3, p4 = _PARITY_BYTES
+    return (p0[v & 0xFF] | p1[(v >> 8) & 0xFF] | p2[(v >> 16) & 0xFF]
+            | p3[(v >> 24) & 0xFF] | p4[(v >> 32) & 0xFF])
 
 
 def proj(v: int) -> Gf4Word:
@@ -88,10 +115,9 @@ class ParityProfile:
 
 
 def parity_profile(v: int) -> ParityProfile:
-    cols = tuple(
-        _PARITY_OF_NIBBLE[column_nibble(v, c)] for c in range(1, N_COLS + 1)
-    )
-    odd = sum(cols)
+    parities = parity_vector(v)
+    cols = tuple((parities >> i) & 1 for i in range(N_COLS))
+    odd = parities.bit_count()
     # Ties (5 odd / 5 even) are undecodable either way; call even majority.
     majority = 1 if odd > N_COLS - odd else 0
     minority = tuple(c for c in range(1, N_COLS + 1) if cols[c - 1] != majority)
@@ -121,6 +147,20 @@ def has_projection_e(v: int, code_words: frozenset[int]) -> bool:
     )
 
 
+def _cheaper_candidate(nibble: int, value: int, parity: int) -> tuple[int, int]:
+    """The candidate column for (value, parity) nearer to nibble, the
+    first one on a tie at distance 2, and its distance."""
+    a, b = candidates_for(value, parity)
+    da = (nibble ^ a).bit_count()
+    return (a, da) if da <= 4 - da else (b, 4 - da)
+
+
+# (nibble | value << 4 | parity << 6) -> (pick, distance).
+_LIFT_PICKS = tuple(
+    _cheaper_candidate(key & 0xF, (key >> 4) & 3, key >> 6) for key in range(128)
+)
+
+
 def lift(
     v: int,
     y_corrected: Gf4Word | int,
@@ -142,36 +182,43 @@ def lift(
     Raises LiftError when no rewrite exists within max_flips.
     """
     target = y_corrected.bits if isinstance(y_corrected, Gf4Word) else y_corrected
-    picks: dict[int, int] = {}
-    dists: dict[int, int] = {}
+    wrong_value = proj_bits(v) ^ target
+    wrong_parity = parity_vector(v) ^ ((1 << N_COLS) - 1 if column_parity else 0)
+    # Bit 2i is set when column i+1 must be rewritten.
+    todo = ((wrong_value | (wrong_value >> 1)) & _LOW_BITS) | _SPREAD[wrong_parity]
+    parity_key = column_parity << 6
     total = 0
+    best_dist = best_shift = -1
     out = v
-    for col in range(1, N_COLS + 1):
-        cur = column_nibble(v, col)
-        want = (target >> (2 * (col - 1))) & 3
-        if _PROJ_OF_NIBBLE[cur] == want and _PARITY_OF_NIBBLE[cur] == column_parity:
-            continue
-        a, b = candidates_for(want, column_parity)
-        da = (cur ^ a).bit_count()
-        pick = a if da <= 4 - da else b
-        picks[col] = pick
-        dists[col] = min(da, 4 - da)
-        total += dists[col]
-        out = replace_column(out, col, pick)
-    if (out & TOP_ROW_MASK).bit_count() & 1 != top_row_parity:
-        if not picks:
-            raise LiftError("top-row parity off with no column to rewrite")
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        pos = low.bit_length() >> 1  # 0-based column index
+        shift = 4 * (N_COLS - 1 - pos)
+        cur = (v >> shift) & 0xF
+        pick, dist = _LIFT_PICKS[cur | ((target >> (2 * pos)) & 3) << 4 | parity_key]
+        out ^= (cur ^ pick) << shift
+        total += dist
         # Swapping a column to its complement costs 4 - 2d extra flips;
-        # the largest-distance column is the cheapest to swap.
-        col = max(picks, key=lambda c: (dists[c], -c))
-        out = replace_column(out, col, picks[col] ^ 0xF)
-        total += 4 - 2 * dists[col]
+        # the largest-distance, lowest-index column is the cheapest to swap.
+        if dist > best_dist:
+            best_dist, best_shift = dist, shift
+    if (out & TOP_ROW_MASK).bit_count() & 1 != top_row_parity:
+        if best_dist < 0:
+            raise LiftError("top-row parity off with no column to rewrite")
+        out ^= 0xF << best_shift
+        total += 4 - 2 * best_dist
     if total > max_flips:
         raise LiftError(f"{total} flips needed, budget is {max_flips}")
     diff = v ^ out
-    flips = tuple(i for i in range(1, N_BITS + 1) if (diff >> (N_BITS - i)) & 1)
-    assert len(flips) == total
-    return out, flips
+    flips = []
+    while diff:
+        bit = diff.bit_length() - 1
+        diff ^= 1 << bit
+        flips.append(N_BITS - bit)
+    if len(flips) != total:
+        raise InternalInvariantError(f"{len(flips)} bits flipped, {total} counted")
+    return out, tuple(flips)
 
 
 def format_array_text(v: int) -> str:

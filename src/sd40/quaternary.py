@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf4 import MUL, Gf4Word, trace_inner, word_weight
+from .gf4 import MUL, Gf4Word, InternalInvariantError, trace_inner, word_weight
 
 N = 10
 CODE_SIZE = 1 << N  # 2^10 GF(2)-linear combinations
@@ -208,7 +208,8 @@ def full_symmetry_group() -> tuple[MonomialSymmetry, ...]:
         for swaps in swap_patterns
         for scalar in (1, 2, 3)
     )
-    assert len(group) == GROUP_ORDER
+    if len(group) != GROUP_ORDER:
+        raise InternalInvariantError(f"{len(group)} symmetries, want {GROUP_ORDER}")
     return group
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from sd40 import cli
 from sd40.constructions import printed_de_matrix, printed_se_matrix
+from sd40.gf4 import InternalInvariantError
 from sd40.projection import parse_array_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -32,6 +33,23 @@ def test_parse_word_forms():
         cli.parse_word("10")
     with pytest.raises(ValueError):
         cli.parse_word("x" * 40)
+    assert cli.parse_word("ABCDEF0123") == 0xABCDEF0123
+    # Ten characters that int(text, 16) would take, but not 10 hex digits.
+    for text in ("-123456789", "0x12345678", "12_345_678", "+123456789"):
+        with pytest.raises(ValueError):
+            cli.parse_word(text)
+    with pytest.raises(ValueError):
+        cli.parse_word("1" * 39 + "2")
+
+
+def test_internal_invariant_exit_code(capsys, monkeypatch):
+    def broken(v, code="DE"):
+        raise InternalInvariantError("two codewords inside budget")
+
+    monkeypatch.setattr(cli.dc, "represent_decode", broken)
+    code, out, err = run(capsys, "decode", "0" * 40)
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == "" and "internal error" in err
 
 
 def test_encode_first_unit_vector(capsys):

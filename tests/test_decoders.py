@@ -1,12 +1,15 @@
+import itertools
 import random
 
 import pytest
 
+import sd40
 from sd40 import decoders as dc
+from sd40 import gf4, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.gf4 import Gf4Word
 from sd40.oracle import indexed_decode
-from sd40.projection import parse_array_text, proj
+from sd40.projection import parity_profile, parse_array_text, proj
 from sd40.quaternary import e10_matrix
 
 # The four worked examples: received array, corrected projection,
@@ -79,6 +82,22 @@ def test_classify_case():
     assert dc.classify_case(v54) is None
     v64 = parse_array_text("1111000000\n0000000000\n0000000000\n0000000000")
     assert dc.classify_case(v64) is None
+
+
+def test_case_table_matches_parity_profile():
+    for parities in range(1 << 10):
+        # One bottom-row bit in every odd column.
+        v = int("".join(f"000{(parities >> i) & 1}" for i in range(10)), 2)
+        profile = parity_profile(v)
+        case = dc.classify_case(v)
+        minority = profile.minority_columns
+        if len(minority) > 3:
+            assert case is None
+            continue
+        assert case.case_id == ("I", "II", "III", "IV")[len(minority)]
+        assert case.majority_parity == profile.majority_parity
+        assert case.erasure_columns == minority
+        assert case.max_errors == (1 if len(minority) <= 1 else 0)
 
 
 def test_case_budgets():
@@ -255,3 +274,63 @@ def test_bad_arguments():
         dc.represent_decode(0, code="XX")
     with pytest.raises(ValueError):
         dc.decode_se(0, algorithm="nope")
+
+
+@pytest.mark.parametrize("v", [1 << 40, -1, (1 << 40) + 5, -(1 << 40)])
+def test_received_word_domain(v):
+    # Only the five low bytes reach the table lookups; the rest must not
+    # be dropped silently.
+    with pytest.raises(ValueError):
+        dc.represent_decode(v)
+    with pytest.raises(ValueError):
+        dc.syndrome_decode(v)
+    with pytest.raises(ValueError):
+        dc.decode_se(v, "syndrome")
+    assert dc.represent_decode((1 << 40) - 1).algorithm == "representation"
+
+
+def test_internal_invariant_error_is_one_class():
+    assert dc.InternalInvariantError is gf4.InternalInvariantError
+    assert sd40.InternalInvariantError is gf4.InternalInvariantError
+    assert quaternary.InternalInvariantError is gf4.InternalInvariantError
+
+
+def _valid_budgets():
+    for max_errors, largest in ((0, 3), (1, 1)):
+        for k in range(largest + 1):
+            for erasures in itertools.combinations(range(1, 11), k):
+                yield erasures, max_errors
+
+
+def test_budget_tables_agree_on_every_syndrome():
+    # One received projection per syndrome coset: every y is a codeword
+    # plus one of these, and both searches commute with adding codewords,
+    # so agreeing here means agreeing on all 2^20 projections.
+    reps = {}
+    for y in range(1 << 20):
+        reps.setdefault(dc.syndrome(Gf4Word(y, 10)).bits, y)
+        if len(reps) == 1024:
+            break
+    assert len(reps) == 1024
+    budgets = list(_valid_budgets())
+    assert len(budgets) == 187
+    assert sum(len(dc._budget_patterns(*b)) for b in budgets) == 9_592
+    for erasures, max_errors in budgets:
+        for s, y in reps.items():
+            closest = dc.find_closest_in_e10(Gf4Word(y, 10), erasures, max_errors)
+            err = dc.solve_syndrome(Gf4Word(s, 5), erasures, max_errors)
+            if closest is None:
+                assert err is None, (erasures, max_errors, s)
+            else:
+                assert closest.bits == y ^ err.bits, (erasures, max_errors, s)
+
+
+def test_budget_argument_checks():
+    y = Gf4Word(0, 10)
+    for erasures, max_errors in (((1, 1), 0), ((0,), 0), ((11,), 1), ((), -1)):
+        with pytest.raises(ValueError):
+            dc.find_closest_in_e10(y, erasures, max_errors)
+        with pytest.raises(ValueError):
+            dc.solve_syndrome(Gf4Word(0, 5), erasures, max_errors)
+    # A list of erasure columns is accepted like a tuple.
+    assert dc.find_closest_in_e10(y, [3, 7], 0) == y

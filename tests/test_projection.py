@@ -14,6 +14,7 @@ from sd40.projection import (
     has_projection_o,
     lift,
     parity_profile,
+    parity_vector,
     parse_array_text,
     proj,
     proj_bits,
@@ -45,6 +46,82 @@ def test_proj_linearity(de_matrix):
     for _ in range(10_000):
         u, v = rng.getrandbits(40), rng.getrandbits(40)
         assert proj_bits(u ^ v) == proj_bits(u) ^ proj_bits(v)
+
+
+def test_byte_tables_match_column_definitions():
+    # Projection and parity read column by column, as in the paper.
+    rng = random.Random(9)
+    for v in [0, (1 << 40) - 1] + [rng.getrandbits(40) for _ in range(5_000)]:
+        y = parities = 0
+        for c in range(1, 11):
+            nib = column_nibble(v, c)
+            value = ((nib >> 2) & 1) ^ (2 if nib & 2 else 0) ^ (3 if nib & 1 else 0)
+            y |= value << (2 * (c - 1))
+            parities |= (nib.bit_count() & 1) << (c - 1)
+        assert proj_bits(v) == y
+        assert parity_vector(v) == parities
+        assert parity_profile(v).column_parities == tuple(
+            (parities >> i) & 1 for i in range(10)
+        )
+
+
+def test_lift_tie_rules():
+    # Column 1 = 0110 must become symbol 0 with even parity: candidates
+    # 0000 and 1111 are both at distance 2, and the first one is taken.
+    v = 0x6 << 36
+    word, flips = lift(v, 0, 0, 0)
+    assert word == 0 and flips == (2, 3)
+    # Same column, top row wanted odd: the only rewritten column is
+    # swapped to its complement, costing 4 - 2*2 = 0 extra flips.
+    word, flips = lift(v, 0, 0, 1)
+    assert word == 0xF << 36 and flips == (1, 4)
+    # Two columns at distance 2 and one at distance 1: the swap goes to
+    # the lowest-index column among the farthest.
+    v = (0x6 << 36) | (0x6 << 28) | (0x1 << 20)
+    word, flips = lift(v, 0, 0, 1, max_flips=5)
+    assert word == 0xF << 36 and flips == (1, 4, 10, 11, 20)
+
+
+def _reference_lift(v, target, column_parity, top_row_parity, max_flips=3):
+    """The column-by-column rewrite: visit all ten columns, take the nearer
+    candidate (the first on a tie), then swap the farthest, lowest-index
+    rewritten column if the top row is off."""
+    picks, dists, out = {}, {}, v
+    for col in range(1, 11):
+        cur = column_nibble(v, col)
+        want = (target >> (2 * (col - 1))) & 3
+        if proj(cur << 36)[0] == want and cur.bit_count() % 2 == column_parity:
+            continue
+        a, b = candidates_for(want, column_parity)
+        da = (cur ^ a).bit_count()
+        picks[col], dists[col] = (a, da) if da <= 4 - da else (b, 4 - da)
+        out ^= (cur ^ picks[col]) << (4 * (10 - col))
+    total = sum(dists.values())
+    if bin(out & int("1000" * 10, 2)).count("1") % 2 != top_row_parity:
+        if not picks:
+            return None
+        col = max(picks, key=lambda c: (dists[c], -c))
+        out ^= 0xF << (4 * (10 - col))
+        total += 4 - 2 * dists[col]
+    if total > max_flips:
+        return None
+    return out, tuple(i for i in range(1, 41) if (v ^ out) >> (40 - i) & 1)
+
+
+def test_lift_matches_column_loop():
+    rng = random.Random(29)
+    for _ in range(20_000):
+        v = rng.getrandbits(40)
+        # Targets near proj(v) reach the accepting branch, random ones the
+        # rejecting one.
+        target = proj_bits(v) ^ rng.choice([0, rng.getrandbits(20), 1 << 2 * rng.randrange(10)])
+        args = (v, target, rng.randrange(2), rng.randrange(2), rng.choice([3, 40]))
+        want = _reference_lift(*args)
+        if want is None:
+            with pytest.raises(LiftError):
+                lift(*args)
+        else:
+            assert lift(*args) == want
 
 
 def test_parity_profile_section3_example():
