@@ -22,6 +22,7 @@ from . import oracle as oc
 from . import projection as pj
 from . import quaternary as qt
 from .gf4 import ALPHABET, Gf4Word
+from .projection import N_BITS, N_COLS
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -34,9 +35,9 @@ _ALGORITHMS = {"repr": "representation", "synd": "syndrome", "oracle": "oracle"}
 def parse_word(text: str) -> int:
     """40-bit word from a bit string (40 chars) or hex string (10 chars)."""
     text = text.strip()
-    if len(text) == 40 and not set(text) - set("01"):
+    if len(text) == N_BITS and not set(text) - set("01"):
         return int(text, 2)
-    if len(text) == 10 and not set(text) - set(string.hexdigits):
+    if len(text) == N_BITS // 4 and not set(text) - set(string.hexdigits):
         return int(text, 16)
     raise ValueError(
         f"cannot parse {text!r}: need 40 bits over 01 or 10 hex digits"
@@ -44,7 +45,7 @@ def parse_word(text: str) -> int:
 
 
 def format_word(v: int, hex_out: bool = False) -> str:
-    return format(v, "010x") if hex_out else format(v, "040b")
+    return format(v, f"0{N_BITS // 4}x") if hex_out else format(v, f"0{N_BITS}b")
 
 
 def _matrix_for(code: str) -> cn.BinaryGeneratorMatrix:
@@ -111,12 +112,12 @@ class Transcript:
 
 
 def _array_block(v: int, y: Gf4Word, label: str) -> list[str]:
-    head = "      " + "".join(f"{i:>3}" for i in range(1, 11))
+    head = "      " + "".join(f"{i:>3}" for i in range(1, N_COLS + 1))
     lines = [head]
     for row in range(4):
         bit = 3 - row
         cells = "".join(
-            f"{(pj.column_nibble(v, c) >> bit) & 1:>3}" for c in range(1, 11)
+            f"{(pj.column_nibble(v, c) >> bit) & 1:>3}" for c in range(1, N_COLS + 1)
         )
         lines.append(f"{ALPHABET[row]:>4} |" + cells)
     cells = "".join(f"{ALPHABET[s]:>3}" for s in y)
@@ -138,8 +139,7 @@ def decode_transcript(v: int, algorithm: str, code: str) -> Transcript:
             )
             corrected = None
         else:
-            diff = v ^ cw
-            flips = tuple(i for i in range(1, 41) if (diff >> (40 - i)) & 1)
+            flips = pj.flip_positions(v ^ cw)
             corrected = pj.proj(cw)
             outcome = dc.DecodeOutcome("oracle", True, cw, corrected, flips, case)
     else:
@@ -147,7 +147,7 @@ def decode_transcript(v: int, algorithm: str, code: str) -> Transcript:
             syn = dc.syndrome(y)
             outcome = dc.syndrome_decode(v, code)
             if outcome.ok:
-                err = Gf4Word(y.bits ^ outcome.corrected_projection.bits, 10)
+                err = Gf4Word(y.bits ^ outcome.corrected_projection.bits, N_COLS)
         else:
             outcome = dc.represent_decode(v, code)
         corrected = outcome.corrected_projection
@@ -178,14 +178,14 @@ def cmd_corrupt(args) -> int:
                 positions.append(int(part))
         if len(set(positions)) != len(positions):
             raise ValueError("positions must be distinct")
-        if any(not 1 <= p <= 40 for p in positions):
-            raise ValueError("positions must lie in 1..40")
+        if any(not 1 <= p <= N_BITS for p in positions):
+            raise ValueError(f"positions must lie in 1..{N_BITS}")
     else:
         rng = random.Random(args.seed)
         weight = rng.randint(0, args.random_weight)
-        positions = rng.sample(range(1, 41), weight)
+        positions = rng.sample(range(1, N_BITS + 1), weight)
     for p in positions:
-        word ^= 1 << (40 - p)
+        word ^= 1 << (N_BITS - p)
     print(format_word(word, args.hex))
     return EXIT_OK
 
@@ -223,7 +223,7 @@ def cmd_fuzz(args) -> int:
         cw = matrix.encode(rng.getrandbits(20))
         weight = rng.randint(0, args.max_weight)
         v = cw
-        for p in rng.sample(range(40), weight):
+        for p in rng.sample(range(N_BITS), weight):
             v ^= 1 << p
         r = dc.represent_decode(v, args.code)
         s = dc.syndrome_decode(v, args.code)

@@ -30,6 +30,17 @@ stays within three bit flips, so every outcome here coincides with
 exhaustive nearest-codeword search at radius 3.  Four or more minority
 columns, a failed projection search, or an over-budget lift all yield
 the declaration that more than three errors occurred.
+
+Between the stages a projection travels as its packed int, and a warm
+decode builds no Gf4Word: the words it hands out are interned.  The
+1,024 syndromes, the error words of the per-budget syndrome tables and
+the 1,024 E10 codewords each exist once, built lazily, and `syndrome`,
+`solve_syndrome` and `find_closest_in_e10` return those objects (a
+caller's `members=` set may hold words outside E10; such a word is built
+afresh).  A declared failure is likewise one shared DecodeOutcome per
+(algorithm, case), at most 2 x 353 of them.  Sharing is safe because
+every shared object is a frozen dataclass over ints, tuples and frozen
+CaseLabels, so no caller can alter what another one receives.
 """
 
 from __future__ import annotations
@@ -129,8 +140,23 @@ def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, .
     return tuple(patterns)
 
 
+def _packed(y: Gf4Word | int) -> int:
+    """The packed form of a projection given as a word or as its bits."""
+    if isinstance(y, Gf4Word):
+        return y.bits
+    if not 0 <= y < 1 << (2 * N_COLS):
+        raise ValueError(f"projection {y} is not a packed {N_COLS}-symbol word")
+    return y
+
+
+@functools.lru_cache(maxsize=None)
+def _e10_words() -> dict[int, Gf4Word]:
+    """Packed E10 codeword -> its shared Gf4Word."""
+    return {bits: Gf4Word(bits, N_COLS) for bits in e10_table().words}
+
+
 def find_closest_in_e10(
-    y: Gf4Word,
+    y: Gf4Word | int,
     erasures: tuple[int, ...] = (),
     max_errors: int = 0,
     members: frozenset[int] | None = None,
@@ -141,10 +167,14 @@ def find_closest_in_e10(
     patterns = _budget_patterns(tuple(erasures), max_errors)
     if members is None:
         members = e10_table().word_set
-    found = members.intersection(map(y.bits.__xor__, patterns))
+    found = members.intersection(map(_packed(y).__xor__, patterns))
     if len(found) > 1:
         raise InternalInvariantError(f"{len(found)} codewords inside budget")
-    return Gf4Word(next(iter(found)), N_COLS) if found else None
+    if not found:
+        return None
+    (bits,) = found
+    word = _e10_words().get(bits)
+    return Gf4Word(bits, N_COLS) if word is None else word
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,23 +236,40 @@ def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
     return tuple(tables)
 
 
-def syndrome(y: Gf4Word) -> Gf4Word:
-    """H conj(y)^T as a 5-symbol word; zero exactly on codewords."""
+def _syndrome_bits(y: int) -> int:
+    """Packed syndrome of a packed projection."""
     s0, s1, s2 = _syndrome_bytes()
-    bits = y.bits
-    return Gf4Word(s0[bits & 0xFF] ^ s1[(bits >> 8) & 0xFF] ^ s2[bits >> 16], 5)
+    return s0[y & 0xFF] ^ s1[(y >> 8) & 0xFF] ^ s2[y >> 16]
 
 
 @functools.lru_cache(maxsize=None)
-def _syndrome_table(erasures: tuple[int, ...], max_errors: int) -> dict[int, int]:
+def _syndrome_words() -> tuple[Gf4Word, ...]:
+    """All 1,024 syndromes as shared 5-symbol words, indexed by bits."""
+    return tuple(Gf4Word(s, 5) for s in range(1 << 10))
+
+
+def syndrome(y: Gf4Word | int) -> Gf4Word:
+    """H conj(y)^T as a 5-symbol word; zero exactly on codewords."""
+    return _syndrome_words()[_syndrome_bits(_packed(y))]
+
+
+@functools.lru_cache(maxsize=None)
+def _error_word(e: int) -> Gf4Word:
+    """The shared Gf4Word of a packed error word, whichever budgets list it."""
+    return Gf4Word(e, N_COLS)
+
+
+@functools.lru_cache(maxsize=None)
+def _syndrome_table(erasures: tuple[int, ...], max_errors: int) -> dict[int, Gf4Word]:
     """Packed syndrome -> the error word inside the budget that has it."""
-    table: dict[int, int] = {}
+    table: dict[int, Gf4Word] = {}
     for e in _budget_patterns(erasures, max_errors):
-        s = syndrome(Gf4Word(e, N_COLS)).bits
-        if table.setdefault(s, e) != e:
+        s = _syndrome_bits(e)
+        if s in table:
             raise InternalInvariantError(
-                f"error words {table[s]:#x} and {e:#x} share syndrome {s:#x}"
+                f"error words {table[s].bits:#x} and {e:#x} share syndrome {s:#x}"
             )
+        table[s] = _error_word(e)
     return table
 
 
@@ -234,8 +281,7 @@ def solve_syndrome(
     """The unique error word e with s = H conj(e)^T supported on the
     erasure columns plus at most max_errors further positions, or None.
     An erased column may carry no projection error."""
-    e = _syndrome_table(tuple(erasures), max_errors).get(s.bits)
-    return None if e is None else Gf4Word(e, N_COLS)
+    return _syndrome_table(tuple(erasures), max_errors).get(s.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -243,39 +289,39 @@ def solve_syndrome(
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _failure(algorithm: str, case: CaseLabel | None) -> DecodeOutcome:
+    """The shared declared-failure outcome of an algorithm and case."""
+    return DecodeOutcome(algorithm, False, None, None, (), case, FAILURE_REASON)
+
+
 def _decode(v: int, algorithm: str, code: str,
              members: frozenset[int] | None = None) -> DecodeOutcome:
     if code not in ("DE", "SE"):
         raise ValueError(f"code must be DE or SE, got {code!r}")
+    if algorithm not in ("representation", "syndrome"):
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     if not 0 <= v < 1 << N_BITS:
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-
-    def failure(case: CaseLabel | None) -> DecodeOutcome:
-        return DecodeOutcome(algorithm, False, None, None, (), case, FAILURE_REASON)
-
     case = classify_case(v)
     if case is None:
-        return failure(None)
+        return _failure(algorithm, None)
     y = proj_bits(v)
     if algorithm == "representation":
-        corrected = find_closest_in_e10(
-            Gf4Word(y, N_COLS), case.erasure_columns, case.max_errors, members
-        )
-    elif algorithm == "syndrome":
-        err = solve_syndrome(syndrome(Gf4Word(y, N_COLS)),
-                             case.erasure_columns, case.max_errors)
-        corrected = None if err is None else Gf4Word(y ^ err.bits, N_COLS)
+        corrected = find_closest_in_e10(y, case.erasure_columns, case.max_errors, members)
     else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+        err = solve_syndrome(syndrome(y), case.erasure_columns, case.max_errors)
+        # y + e has syndrome zero, so it is an E10 codeword.
+        corrected = None if err is None else _e10_words()[y ^ err.bits]
     if corrected is None:
-        return failure(case)
+        return _failure(algorithm, case)
     # Projection O ties the top row to the column parity; projection E
     # wants it even regardless.
     top_parity = case.majority_parity if code == "DE" else 0
     try:
         word, flips = lift(v, corrected, case.majority_parity, top_parity)
     except LiftError:
-        return failure(case)
+        return _failure(algorithm, case)
     return DecodeOutcome(algorithm, True, word, corrected, flips, case)
 
 

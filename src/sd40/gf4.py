@@ -86,6 +86,12 @@ class Gf4Word:
     bits: int
     n: int = 10
 
+    def __post_init__(self) -> None:
+        # Bits above 2n would be invisible to printing yet count for
+        # equality, so a word holds exactly n symbols.
+        if self.n < 0 or not 0 <= self.bits < 1 << (2 * self.n):
+            raise ValueError(f"bits {self.bits:#x} do not pack {self.n} GF(4) symbols")
+
     @classmethod
     def from_symbols(cls, symbols: Iterable[int], n: int | None = None) -> "Gf4Word":
         syms = tuple(symbols)

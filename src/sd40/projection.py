@@ -210,15 +210,21 @@ def lift(
         total += 4 - 2 * best_dist
     if total > max_flips:
         raise LiftError(f"{total} flips needed, budget is {max_flips}")
-    diff = v ^ out
+    flips = flip_positions(v ^ out)
+    if len(flips) != total:
+        raise InternalInvariantError(f"{len(flips)} bits flipped, {total} counted")
+    return out, flips
+
+
+def flip_positions(diff: int) -> tuple[int, ...]:
+    """The 1-based coordinates of the set bits of a 40-bit difference, in
+    increasing order."""
     flips = []
     while diff:
         bit = diff.bit_length() - 1
         diff ^= 1 << bit
         flips.append(N_BITS - bit)
-    if len(flips) != total:
-        raise InternalInvariantError(f"{len(flips)} bits flipped, {total} counted")
-    return out, tuple(flips)
+    return tuple(flips)
 
 
 def format_array_text(v: int) -> str:

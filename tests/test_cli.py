@@ -144,7 +144,9 @@ def test_decode_oracle_matches_projection_decoders(capsys):
     code, out, _ = run(capsys, "decode", word_str(v), "--algorithm", "oracle")
     assert code == 0
     code2, out2, _ = run(capsys, "decode", word_str(v), "--algorithm", "repr")
-    assert out.splitlines()[0] == out2.splitlines()[0]
+    # Same codeword and the same flipped coordinates.
+    assert out == out2
+    assert out.splitlines()[1] == "flipped bits: 14 15 18"
 
 
 def test_decode_se_roundtrip(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -302,27 +303,48 @@ def _valid_budgets():
                 yield erasures, max_errors
 
 
-def test_budget_tables_agree_on_every_syndrome():
+def test_budget_tables_agree_on_every_syndrome(e10):
     # One received projection per syndrome coset: every y is a codeword
     # plus one of these, and both searches commute with adding codewords,
-    # so agreeing here means agreeing on all 2^20 projections.
+    # so agreeing here means agreeing on all 2^20 projections.  The packed
+    # int form of each projection must give the same shared words.
     reps = {}
     for y in range(1 << 20):
-        reps.setdefault(dc.syndrome(Gf4Word(y, 10)).bits, y)
+        s = dc.syndrome(Gf4Word(y, 10))
+        assert dc.syndrome(y) is s
+        reps.setdefault(s.bits, y)
         if len(reps) == 1024:
             break
     assert len(reps) == 1024
+    assert dc._syndrome_words() == tuple(Gf4Word(s, 5) for s in range(1024))
+    e10_words = dc._e10_words()
+    assert e10_words == {bits: Gf4Word(bits, 10) for bits in e10.words}
+    orbit = dc.orbit_members()
     budgets = list(_valid_budgets())
     assert len(budgets) == 187
     assert sum(len(dc._budget_patterns(*b)) for b in budgets) == 9_592
     for erasures, max_errors in budgets:
+        patterns = dc._budget_patterns(erasures, max_errors)
+        assert dc._syndrome_table(erasures, max_errors) == {
+            dc.syndrome(e).bits: Gf4Word(e, 10) for e in patterns}
         for s, y in reps.items():
             closest = dc.find_closest_in_e10(Gf4Word(y, 10), erasures, max_errors)
+            assert dc.find_closest_in_e10(y, erasures, max_errors) is closest
+            assert dc.find_closest_in_e10(y, erasures, max_errors, orbit) is closest
             err = dc.solve_syndrome(Gf4Word(s, 5), erasures, max_errors)
+            assert dc.solve_syndrome(dc.syndrome(y), erasures, max_errors) is err
             if closest is None:
                 assert err is None, (erasures, max_errors, s)
             else:
                 assert closest.bits == y ^ err.bits, (erasures, max_errors, s)
+                assert closest is e10_words[closest.bits]
+    # A caller's membership set may hold words outside E10: those come
+    # back as new words, the E10 ones as the shared words.
+    weight_one = Gf4Word.from_string("0000w00000")
+    row = e10_matrix().rows[0]
+    members = frozenset({weight_one.bits, row.bits})
+    assert dc.find_closest_in_e10(0, (), 1, members) == weight_one
+    assert dc.find_closest_in_e10(row.bits, (), 0, members) is e10_words[row.bits]
 
 
 def test_budget_argument_checks():
@@ -334,3 +356,88 @@ def test_budget_argument_checks():
             dc.solve_syndrome(Gf4Word(0, 5), erasures, max_errors)
     # A list of erasure columns is accepted like a tuple.
     assert dc.find_closest_in_e10(y, [3, 7], 0) == y
+
+
+@pytest.mark.parametrize("y", [-1, 1 << 20, 1 << 24])
+def test_projection_domain(y):
+    with pytest.raises(ValueError):
+        dc.syndrome(y)
+    with pytest.raises(ValueError):
+        dc.find_closest_in_e10(y, (), 1)
+    with pytest.raises(ValueError):
+        dc.syndrome(Gf4Word(y, 10))
+    top = (1 << 20) - 1
+    assert dc.syndrome(top) is dc.syndrome(Gf4Word(top, 10))
+
+
+@pytest.mark.parametrize("algorithm", ["representation", "syndrome"])
+def test_declared_failures_share_one_outcome_per_case(algorithm):
+    labels = [c for c in dc._CASES if c is not None]
+    assert len(set(labels)) == 352
+    for case in [None, *labels]:
+        shared = dc._failure(algorithm, case)
+        assert shared == dc.DecodeOutcome(algorithm, False, None, None, (), case,
+                                          dc.FAILURE_REASON)
+        assert dc._failure(algorithm, case) is shared
+    decode = dc.represent_decode if algorithm == "representation" else dc.syndrome_decode
+    cw = printed_de_matrix().encode(CASE_TABLE_MESSAGE)
+    for _, pattern, expect_ok in CASE_TABLE:
+        if not expect_ok:
+            out = decode(_corrupt(cw, pattern))
+            assert out is dc._failure(algorithm, out.case)
+
+
+def test_warm_corrected_decode_builds_no_gf4word(monkeypatch):
+    words = [parse_array_text(array) for array, *_ in EXAMPLES.values()]
+    decoders = (dc.represent_decode, dc.syndrome_decode)
+    for v in words:  # builds the lazy tables
+        for decode in decoders:
+            decode(v)
+    built = []
+    init = Gf4Word.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gf4Word, "__init__", counting_init)
+    for v in words:
+        for decode in decoders:
+            out = decode(v)
+            assert out.ok and out.flipped_bits
+    assert built == []
+    Gf4Word(0, 10)  # the counter does see a construction
+    assert built == [(0, 10)]
+
+
+# The stages _decode looks up in the module namespace on every call, per
+# decoder.  Tracing wraps these names, so a decoder that bypasses one
+# leaves its spans incomplete.
+STAGE_NAMES = {
+    dc.represent_decode: ("classify_case", "proj_bits", "find_closest_in_e10", "lift"),
+    dc.syndrome_decode: ("classify_case", "proj_bits", "syndrome", "solve_syndrome",
+                         "lift"),
+}
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_decoders_call_each_stage_through_the_module(monkeypatch):
+    calls = Counter()
+    for name in {n for names in STAGE_NAMES.values() for n in names}:
+        monkeypatch.setattr(dc, name, _counting(calls, name, getattr(dc, name)))
+    noisy = parse_array_text(EXAMPLES[2][0])
+    no_case = parse_array_text("1111000000\n0000000000\n0000000000\n0000000000")
+    for decode, names in STAGE_NAMES.items():
+        for code in ("DE", "SE"):
+            calls.clear()
+            assert decode(noisy, code).ok
+            assert calls == Counter(names), (decode.__name__, code)
+        calls.clear()
+        assert not decode(no_case).ok
+        assert calls == Counter({"classify_case": 1})

@@ -127,3 +127,18 @@ def test_packed_helpers_match_word_api():
     w = Gf4Word.from_string("0W1w01w0W0")
     assert word_weight(w.bits, 10) == w.weight()
     assert Gf4Word(word_scale(w.bits, OMEGA_BAR, 10), 10) == w.scaled(OMEGA_BAR)
+
+
+@pytest.mark.parametrize("bits,n", [(-1, 10), (1 << 20, 10), (1 << 24, 10), (5, 1),
+                                    (1, 0), (0, -1)])
+def test_word_bits_fit_its_length(bits, n):
+    # A word out of range would print like an in-range one and still
+    # compare unequal to it.
+    with pytest.raises(ValueError):
+        Gf4Word(bits, n)
+
+
+def test_word_range_edges():
+    assert Gf4Word((1 << 20) - 1, 10).to_string() == "W" * 10
+    assert Gf4Word(3, 1).to_string() == "W"
+    assert Gf4Word(0, 0).to_string() == ""
