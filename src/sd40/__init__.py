@@ -19,7 +19,6 @@ from .decoders import (
     DecodeOutcome,
     InternalInvariantError,
     classify_case,
-    decode_se,
     find_closest_in_e10,
     represent_decode,
     solve_syndrome,

@@ -114,12 +114,8 @@ class Transcript:
 def _array_block(v: int, y: Gf4Word, label: str) -> list[str]:
     head = "      " + "".join(f"{i:>3}" for i in range(1, N_COLS + 1))
     lines = [head]
-    for row in range(4):
-        bit = 3 - row
-        cells = "".join(
-            f"{(pj.column_nibble(v, c) >> bit) & 1:>3}" for c in range(1, N_COLS + 1)
-        )
-        lines.append(f"{ALPHABET[row]:>4} |" + cells)
+    for name, row in zip(ALPHABET, pj.format_array_text(v).splitlines()):
+        lines.append(f"{name:>4} |" + "".join(f"{bit:>3}" for bit in row))
     cells = "".join(f"{ALPHABET[s]:>3}" for s in y)
     lines.append(f"{label:>4} |" + cells)
     return lines
@@ -257,28 +253,17 @@ def cmd_census(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    which = args.which
-    if which == "e10":
-        for row in qt.e10_matrix().rows:
-            print(row.to_string())
-    elif which == "b10":
-        for row in qt.b10_matrix().rows:
-            print(row.to_string())
-    elif which == "de":
-        sys.stdout.write(cn.printed_de_matrix().to_text())
-    elif which == "se":
-        sys.stdout.write(cn.printed_se_matrix().to_text())
-    else:
-        for name, rows in (
-            ("E10", [r.to_string() for r in qt.e10_matrix().rows]),
-            ("B10", [r.to_string() for r in qt.b10_matrix().rows]),
-            ("C40,1-DE", cn.printed_de_matrix().to_text().splitlines()),
-            ("C40,1-SE", cn.printed_se_matrix().to_text().splitlines()),
-        ):
-            print(f"# {name}")
-            for row in rows:
-                print(row)
-            print()
+    tables = {
+        "e10": ("E10", [r.to_string() for r in qt.e10_matrix().rows]),
+        "b10": ("B10", [r.to_string() for r in qt.b10_matrix().rows]),
+        "de": ("C40,1-DE", cn.printed_de_matrix().to_text().splitlines()),
+        "se": ("C40,1-SE", cn.printed_se_matrix().to_text().splitlines()),
+    }
+    for which, (name, rows) in tables.items():
+        if args.which == which:
+            print("\n".join(rows))
+        elif args.which == "all":
+            print("\n".join([f"# {name}", *rows, ""]))
     return EXIT_OK
 
 

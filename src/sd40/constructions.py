@@ -15,12 +15,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .gf4 import Gf4Word
+import numpy as np
+
+from .gf4 import Gf4Word, xor_span
 from .projection import N_BITS, N_COLS
 from .quaternary import QuaternaryGeneratorMatrix, b10_matrix, e10_matrix
 
 DIMENSION = 20
-CODE_SIZE = 1 << DIMENSION
 
 _BINMAP_NIBBLE = (0x0, 0x3, 0x5, 0x6)  # images of 0, 1, w, W
 
@@ -173,16 +174,11 @@ class CertificationReport:
 
 
 def certify(matrix: BinaryGeneratorMatrix) -> CertificationReport:
-    """Enumerate all 2^20 codewords (Gray order, one row-XOR per step)
-    and report self-duality, minimum distance, weight histogram, type."""
-    rows = matrix.reduced
-    counts = [0] * (N_BITS + 1)
-    word = 0
-    counts[0] += 1
-    for i in range(1, CODE_SIZE):
-        word ^= rows[(i & -i).bit_length() - 1]
-        counts[word.bit_count()] += 1
-    dist = {w: c for w, c in enumerate(counts) if c}
+    """Enumerate all 2^20 codewords (entry i is the XOR of the reduced rows
+    at the set bits of i) and report self-duality, minimum distance,
+    weight histogram, type."""
+    counts = np.bincount(np.bitwise_count(xor_span(matrix.reduced)))
+    dist = {w: int(c) for w, c in enumerate(counts) if c}
     min_d = min(w for w in dist if w > 0)
     if any(w % 2 for w in dist):
         parity_type = "odd"

@@ -31,6 +31,22 @@ exhaustive nearest-codeword search at radius 3.  Four or more minority
 columns, a failed projection search, or an over-budget lift all yield
 the declaration that more than three errors occurred.
 
+Both decoders commute with translation by a codeword c of the decoded
+code: v + c gets the same verdict and flipped bits as v, and codeword + c
+when decoding succeeds.  Every codeword has uniform column parity, so c
+keeps every column parity or flips them all; the minority columns, and
+with them the case and its budget, stay put.  The projection is
+GF(2)-linear and c projects into E10, which is linear, so the search on
+y + proj(c) finds the corrected projection moved by proj(c), or nothing
+both times.  Within a column the nibble -> (symbol, parity) map is
+GF(2)-linear with kernel {0000, 1111}, so the two candidate nibbles and
+their distances move with c's column and the flip count is unchanged: a
+distance-2 tie picks one of two complements, but a tied column also
+makes the top-row fix free.  Finally c's top-row parity equals its
+column parity (DE, projection O) or is even (SE, projection E), so v + c
+meets the top-row rule exactly when v does.  A success is the unique
+codeword within three flips, so it moves by c and the flips stay put.
+
 Between the stages a projection travels as its packed int, and a warm
 decode builds no Gf4Word: the words it hands out are interned.  The
 1,024 syndromes, the error words of the per-budget syndrome tables and
@@ -49,7 +65,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf4 import CONJ, MUL, Gf4Word, InternalInvariantError
+from .gf4 import CONJ, MUL, Gf4Word, InternalInvariantError, xor_span
 # parity_profile is not called here but stays a name of this module:
 # perfbench/spans.py wraps it along with the decoder stages.
 from .projection import (N_BITS, N_COLS, LiftError, lift, parity_profile,  # noqa: F401
@@ -129,9 +145,7 @@ def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, .
         raise ValueError("budget violates unique-decoding bound")
     if len(set(erasures)) != len(erasures) or not set(erasures) <= set(range(1, N_COLS + 1)):
         raise ValueError(f"erasures must be distinct columns 1..{N_COLS}: {erasures}")
-    fills = [0]
-    for c in erasures:
-        fills = [f | val << (2 * (c - 1)) for f in fills for val in range(4)]
+    fills = xor_span([val << (2 * (c - 1)) for c in erasures for val in (1, 2)]).tolist()
     patterns = list(fills)
     if max_errors:  # the bound leaves room for one error at most
         for c in range(1, N_COLS + 1):
@@ -227,13 +241,8 @@ def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
     covers positions 8 and 9 only).  The syndrome is GF(2)-linear, so a
     word's is the XOR of its three byte syndromes."""
     contrib = _syndrome_contrib()
-    tables = []
-    for k in range(3):
-        table = [0]
-        for pos in range(4 * k, min(4 * k + 4, N_COLS)):
-            table = [s ^ c for c in contrib[pos] for s in table]
-        tables.append(tuple(table))
-    return tuple(tables)
+    images = [contrib[pos][val] for pos in range(N_COLS) for val in (1, 2)]
+    return tuple(tuple(xor_span(images[q:q + 8]).tolist()) for q in range(0, 2 * N_COLS, 8))
 
 
 def _syndrome_bits(y: int) -> int:
@@ -337,11 +346,3 @@ def syndrome_decode(v: int, code: str = "DE") -> DecodeOutcome:
     projection error, then rewrite the flagged columns."""
     return _decode(v, "syndrome", code)
 
-
-def decode_se(v: int, algorithm: str = "representation") -> DecodeOutcome:
-    """Decode against the singly-even code (top row always even)."""
-    if algorithm == "representation":
-        return represent_decode(v, "SE")
-    if algorithm == "syndrome":
-        return syndrome_decode(v, "SE")
-    raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -7,12 +7,17 @@ plain XOR; multiplication, conjugation and trace are table lookups.
 A word of n symbols is packed into a single int, two bits per symbol,
 position i (0-based, leftmost symbol first) at bits 2i..2i+1.  Packing
 keeps codeword tables small and makes vector addition one XOR.
+
+Every linear structure in the package (codeword tables of GF(2)-spans and
+lookup tables of GF(2)-linear maps) is built by `xor_span`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 
@@ -53,6 +58,20 @@ def conj(a: int) -> int:
 def trace(a: int) -> int:
     """Trace a + a^2 onto GF(2)."""
     return TRACE[a]
+
+
+def xor_span(rows: Sequence[int]) -> np.ndarray:
+    """All 2^k GF(2)-combinations of k rows as uint64: entry i is the XOR
+    of the rows at the set bits of i (bit j selects rows[j]).
+
+    Over the basis images of a GF(2)-linear map this is the map's lookup
+    table.  The array doubles in place, so it is the only allocation.
+    """
+    words = np.empty(1 << len(rows), dtype=np.uint64)
+    words[0] = 0
+    for j, row in enumerate(rows):
+        np.bitwise_xor(words[:1 << j], np.uint64(row), out=words[1 << j:2 << j])
+    return words
 
 
 def word_symbol(bits: int, i: int) -> int:
@@ -135,9 +154,6 @@ class Gf4Word:
 
     def scaled(self, k: int) -> "Gf4Word":
         return Gf4Word(word_scale(self.bits, k, self.n), self.n)
-
-    def conjugated(self) -> "Gf4Word":
-        return Gf4Word.from_symbols((CONJ[s] for s in self), self.n)
 
     def weight(self) -> int:
         return word_weight(self.bits, self.n)

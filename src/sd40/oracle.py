@@ -21,14 +21,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .constructions import CODE_SIZE, N_BITS, BinaryGeneratorMatrix
+from .constructions import N_BITS, BinaryGeneratorMatrix
+from .gf4 import xor_span
 
 RADIUS = 3
 
 
 @dataclass(frozen=True)
 class OracleTable:
-    """All 2^20 codewords, packed as uint64 in Gray enumeration order."""
+    """All 2^20 codewords, packed as uint64 in Gray-code order: words[i]
+    is the XOR of the reduced rows at the set bits of i ^ (i >> 1), so
+    consecutive entries differ in one row."""
 
     name: str
     rows: tuple[int, ...]  # reduced basis used for enumeration and syndromes
@@ -68,14 +71,13 @@ class OracleTable:
 
 
 def build_oracle(matrix: BinaryGeneratorMatrix) -> OracleTable:
-    """Enumerate the full span by Gray code over the reduced basis."""
+    """Enumerate the full span in Gray-code order over the reduced basis.
+
+    Entry i is the XOR of the rows at the set bits of i ^ (i >> 1), which
+    is the span of the row differences r_j ^ r_(j-1) (r_(-1) = 0) at i.
+    """
     rows = matrix.reduced
-    words = np.empty(CODE_SIZE, dtype=np.uint64)
-    w = 0
-    words[0] = 0
-    for i in range(1, CODE_SIZE):
-        w ^= rows[(i & -i).bit_length() - 1]
-        words[i] = w
+    words = xor_span([r ^ prev for r, prev in zip(rows, (0,) + rows)])
     return OracleTable(matrix.name, rows, words)
 
 
@@ -87,6 +89,8 @@ def oracle_decode(v: int, table: OracleTable, radius: int = RADIUS) -> int | Non
     """
     if radius > RADIUS:
         raise ValueError(f"radius {radius} forfeits uniqueness (max {RADIUS})")
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     target = np.uint64(v)
     chunk = 1 << 16
     words = table.words
@@ -103,16 +107,12 @@ def indexed_decode(v: int, table: OracleTable, radius: int = RADIUS) -> int | No
     """Scan-equivalent fast path via the weight-<=3 coset-leader index."""
     if radius > RADIUS:
         raise ValueError(f"radius {radius} forfeits uniqueness (max {RADIUS})")
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     e = table.leader_index.get(table._syndrome(v))
     if e is None or e.bit_count() > radius:
         return None
     return v ^ e
-
-
-def dump_words(table: OracleTable, path) -> None:
-    """Write the table as little-endian 64-bit words (8 MiB)."""
-    with open(path, "wb") as fh:
-        fh.write(table.words.astype("<u8").tobytes())
 
 
 def words_sha256(table: OracleTable) -> str:

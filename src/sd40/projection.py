@@ -14,21 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf4 import Gf4Word, InternalInvariantError, nonzero_mask
+from .gf4 import Gf4Word, InternalInvariantError, nonzero_mask, xor_span
 
 N_BITS = 40
 N_COLS = 10
 
 # Top row of the array: bit 3 of every column nibble.
 TOP_ROW_MASK = int("1000" * N_COLS, 2)
-
-# Projection of a single column nibble (bits 3..0 = rows 0, 1, w, W):
-# XOR of the row labels 0, 1, w=2, W=3 at the set bits.
-_PROJ_OF_NIBBLE = tuple(
-    (1 if n & 4 else 0) ^ (2 if n & 2 else 0) ^ (3 if n & 1 else 0)
-    for n in range(16)
-)
-_PARITY_OF_NIBBLE = tuple(n.bit_count() & 1 for n in range(16))
 
 # The four columns yielding each symbol, in the order they are usually
 # tabulated: two even-parity columns then two odd-parity columns.
@@ -40,29 +32,23 @@ COLUMN_PATTERNS = (
 )
 
 
-def _byte_tables(per_nibble: tuple[int, ...], width: int) -> tuple[tuple[int, ...], ...]:
-    """Five 256-entry tables, one per byte of a 40-bit word.  Byte k holds
-    columns 10-2k (low nibble) and 9-2k (high nibble); entry b places
-    per_nibble of each column at width*(column-1).  Every column has its
-    own field, so a word's image is the OR of its five byte images."""
-    return tuple(
-        tuple(
-            per_nibble[b & 0xF] << (width * (N_COLS - 1 - 2 * k))
-            | per_nibble[b >> 4] << (width * (N_COLS - 2 - 2 * k))
-            for b in range(256)
-        )
-        for k in range(5)
-    )
+def _byte_tables(images: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Five 256-entry tables of a GF(2)-linear map on 40-bit words, given
+    the image of every bit p (images[p]).  Entry b of table k is the image
+    of byte k holding b; for the maps below the five bytes' images lie in
+    disjoint column fields, so a word's image is the OR of them."""
+    return tuple(tuple(xor_span(images[p:p + 8]).tolist()) for p in range(0, N_BITS, 8))
 
 
-_PROJ_BYTES = _byte_tables(_PROJ_OF_NIBBLE, 2)
-_PARITY_BYTES = _byte_tables(_PARITY_OF_NIBBLE, 1)
+# Bit p lies in column N_COLS - p // 4, in the row labelled 3 - p % 4
+# (row 0 is the nibble's top bit): the projection adds that label to the
+# column's symbol and the parity toggles the column's bit.
+_PROJ_BYTES = _byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
+_PARITY_BYTES = _byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
 
 # 10-bit column mask -> the same mask with bit i moved to bit 2i, the
 # position layout of packed GF(4) words.
-_SPREAD = [0]
-for _i in range(N_COLS):
-    _SPREAD += [s | 1 << (2 * _i) for s in _SPREAD]
+_SPREAD = tuple(xor_span([1 << (2 * i) for i in range(N_COLS)]).tolist())
 _LOW_BITS = nonzero_mask(N_COLS)  # the low bit of every symbol
 
 

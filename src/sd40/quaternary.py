@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf4 import MUL, Gf4Word, InternalInvariantError, trace_inner, word_weight
+from .gf4 import MUL, Gf4Word, InternalInvariantError, trace_inner, word_weight, xor_span
 
 N = 10
 CODE_SIZE = 1 << N  # 2^10 GF(2)-linear combinations
@@ -105,16 +105,12 @@ def build_b10() -> QuaternaryGeneratorMatrix:
 
 
 def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
-    """All 2^10 GF(2)-linear combinations of the rows, Gray-code order.
+    """All 2^10 GF(2)-linear combinations of the rows; words[i] is the XOR
+    of the rows at the set bits of i (bit j selects row j + 1).
 
     Raises ValueError if the rows are dependent over GF(2) (span < 2^10).
     """
-    rows = [r.bits for r in matrix.rows]
-    words = [0]
-    w = 0
-    for i in range(1, CODE_SIZE):
-        w ^= rows[(i & -i).bit_length() - 1]
-        words.append(w)
+    words = tuple(xor_span([r.bits for r in matrix.rows]).tolist())
     word_set = frozenset(words)
     if len(word_set) != CODE_SIZE:
         raise ValueError(f"{matrix.name}: rows are GF(2)-dependent")
@@ -122,7 +118,7 @@ def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
     for bits in words:
         wt = word_weight(bits, N)
         dist[wt] = dist.get(wt, 0) + 1
-    return CodeTable(matrix.name, tuple(words), word_set, dist)
+    return CodeTable(matrix.name, words, word_set, dist)
 
 
 @functools.lru_cache(maxsize=None)

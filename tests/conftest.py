@@ -1,8 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from sd40.constructions import c40_de, c40_se
 from sd40.oracle import build_oracle
 from sd40.quaternary import b10_table, e10_table
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic.
+settings.register_profile("sd40", derandomize=True, database=None, deadline=None)
+settings.load_profile("sd40")
 
 
 @pytest.fixture(scope="session")

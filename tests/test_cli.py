@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sd40 import cli
 from sd40.constructions import printed_de_matrix, printed_se_matrix
@@ -40,6 +42,23 @@ def test_parse_word_forms():
             cli.parse_word(text)
     with pytest.raises(ValueError):
         cli.parse_word("1" * 39 + "2")
+
+
+@given(st.integers(0, (1 << 40) - 1), st.booleans())
+def test_parse_word_inverts_format_word(v, hex_out):
+    text = cli.format_word(v, hex_out)
+    assert len(text) == (10 if hex_out else 40)
+    assert cli.parse_word(text) == v
+
+
+@given(st.text(alphabet="01", min_size=40, max_size=40))
+def test_format_word_inverts_parse_word_bits(text):
+    assert cli.format_word(cli.parse_word(text)) == text
+
+
+@given(st.text(alphabet="0123456789abcdefABCDEF", min_size=10, max_size=10))
+def test_format_word_inverts_parse_word_hex(text):
+    assert cli.format_word(cli.parse_word(text), hex_out=True) == text.lower()
 
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):

@@ -1,6 +1,11 @@
+import functools
 import itertools
+import operator
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sd40.gf4 import (
     OMEGA,
@@ -16,6 +21,7 @@ from sd40.gf4 import (
     trace_inner,
     word_scale,
     word_weight,
+    xor_span,
 )
 
 ELEMENTS = (ZERO, ONE, OMEGA, OMEGA_BAR)
@@ -142,3 +148,36 @@ def test_word_range_edges():
     assert Gf4Word((1 << 20) - 1, 10).to_string() == "W" * 10
     assert Gf4Word(3, 1).to_string() == "W"
     assert Gf4Word(0, 0).to_string() == ""
+
+
+@given(st.integers(0, 10).flatmap(lambda n: st.tuples(st.integers(0, 4**n - 1), st.just(n))))
+def test_word_string_roundtrip(word):
+    bits, n = word
+    w = Gf4Word(bits, n)
+    text = w.to_string()
+    assert len(text) == n and set(text) <= set("01wW")
+    assert Gf4Word.from_string(text, n) == w
+
+
+@given(st.text(alphabet="01wW", max_size=12))
+def test_string_word_roundtrip(text):
+    assert Gf4Word.from_string(text).to_string() == text
+
+
+ROWS = st.lists(st.integers(0, (1 << 64) - 1), max_size=8)
+
+
+@given(ROWS)
+def test_xor_span_entry_is_xor_of_selected_rows(rows):
+    span = xor_span(rows)
+    assert span.dtype == np.uint64 and span.size == 1 << len(rows)
+    for i, word in enumerate(span.tolist()):
+        picked = (r for j, r in enumerate(rows) if i >> j & 1)
+        assert word == functools.reduce(operator.xor, picked, 0)
+
+
+@given(ROWS)
+def test_span_of_row_differences_is_gray_order(rows):
+    span = xor_span(rows).tolist()
+    gray = xor_span([r ^ prev for r, prev in zip(rows, [0] + rows)]).tolist()
+    assert gray == [span[i ^ (i >> 1)] for i in range(len(span))]

@@ -6,7 +6,6 @@ import pytest
 from sd40.constructions import d4_block, printed_de_matrix
 from sd40.oracle import (
     build_oracle,
-    dump_words,
     indexed_decode,
     oracle_decode,
     words_sha256,
@@ -72,13 +71,14 @@ def test_indexed_equals_scan_on_random_words(de_oracle):
         assert indexed_decode(v, de_oracle) == oracle_decode(v, de_oracle)
 
 
-def test_dump_and_hash(de_oracle, tmp_path):
-    path = tmp_path / "table.bin"
-    dump_words(de_oracle, path)
-    data = path.read_bytes()
-    assert len(data) == (1 << 20) * 8
-    assert int.from_bytes(data[:8], "little") == 0
-    assert words_sha256(de_oracle) == __import__("hashlib").sha256(data).hexdigest()
+@pytest.mark.parametrize("v", [1 << 40, -1, (1 << 40) + 5, -(1 << 40)])
+def test_received_word_domain(de_oracle, v):
+    # Words outside [0, 2^40) are not received words: neither a
+    # "codeword" nor a numpy overflow comes back.
+    with pytest.raises(ValueError):
+        oracle_decode(v, de_oracle)
+    with pytest.raises(ValueError):
+        indexed_decode(v, de_oracle)
 
 
 # Content hashes of the tables in their deterministic enumeration order.

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.projection import (
@@ -251,6 +253,17 @@ def test_array_text_roundtrip():
         parse_array_text("101\n010")
     with pytest.raises(ValueError):
         parse_array_text("2222222222\n" * 4)
+
+
+@given(st.integers(0, (1 << 40) - 1))
+def test_parse_array_text_inverts_format(v):
+    assert parse_array_text(format_array_text(v)) == v
+
+
+@given(st.lists(st.text(alphabet="01", min_size=10, max_size=10), min_size=4, max_size=4))
+def test_format_array_text_inverts_parse(rows):
+    text = "\n".join(rows) + "\n"
+    assert format_array_text(parse_array_text(text)) == text
 
 
 def test_column_nibble_layout():
