@@ -65,7 +65,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf4 import CONJ, MUL, Gf4Word, InternalInvariantError, xor_span
+from .gf4 import CONJ, MUL, Gf4Word, InternalInvariantError, byte_tables, xor_span
 # parity_profile is not called here but stays a name of this module:
 # perfbench/spans.py wraps it along with the decoder stages.
 from .projection import (N_BITS, N_COLS, LiftError, lift, parity_profile,  # noqa: F401
@@ -241,8 +241,7 @@ def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
     covers positions 8 and 9 only).  The syndrome is GF(2)-linear, so a
     word's is the XOR of its three byte syndromes."""
     contrib = _syndrome_contrib()
-    images = [contrib[pos][val] for pos in range(N_COLS) for val in (1, 2)]
-    return tuple(tuple(xor_span(images[q:q + 8]).tolist()) for q in range(0, 2 * N_COLS, 8))
+    return byte_tables([contrib[pos][val] for pos in range(N_COLS) for val in (1, 2)])
 
 
 def _syndrome_bits(y: int) -> int:

@@ -74,6 +74,14 @@ def xor_span(rows: Sequence[int]) -> np.ndarray:
     return words
 
 
+def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables of a GF(2)-linear map, given the image of every input
+    bit p (images[p]): entry b of table k is the image of byte k holding b
+    (the last table has 2^(len(images) - 8k) entries).  A word's image is
+    the XOR of its bytes' entries."""
+    return tuple(tuple(xor_span(images[p:p + 8]).tolist()) for p in range(0, len(images), 8))
+
+
 def word_symbol(bits: int, i: int) -> int:
     """Symbol at 0-based position i of a packed word."""
     return (bits >> (2 * i)) & 3

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf4 import Gf4Word, InternalInvariantError, nonzero_mask, xor_span
+from .gf4 import Gf4Word, InternalInvariantError, byte_tables, nonzero_mask, xor_span
 
 N_BITS = 40
 N_COLS = 10
@@ -32,19 +32,11 @@ COLUMN_PATTERNS = (
 )
 
 
-def _byte_tables(images: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Five 256-entry tables of a GF(2)-linear map on 40-bit words, given
-    the image of every bit p (images[p]).  Entry b of table k is the image
-    of byte k holding b; for the maps below the five bytes' images lie in
-    disjoint column fields, so a word's image is the OR of them."""
-    return tuple(tuple(xor_span(images[p:p + 8]).tolist()) for p in range(0, N_BITS, 8))
-
-
 # Bit p lies in column N_COLS - p // 4, in the row labelled 3 - p % 4
 # (row 0 is the nibble's top bit): the projection adds that label to the
 # column's symbol and the parity toggles the column's bit.
-_PROJ_BYTES = _byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
-_PARITY_BYTES = _byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
+_PROJ_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
+_PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
 
 # 10-bit column mask -> the same mask with bit i moved to bit 2i, the
 # position layout of packed GF(4) words.
@@ -64,15 +56,15 @@ def column_nibble(v: int, col: int) -> int:
 def proj_bits(v: int) -> int:
     """Packed projection of a 40-bit word (hot-path form)."""
     p0, p1, p2, p3, p4 = _PROJ_BYTES
-    return (p0[v & 0xFF] | p1[(v >> 8) & 0xFF] | p2[(v >> 16) & 0xFF]
-            | p3[(v >> 24) & 0xFF] | p4[(v >> 32) & 0xFF])
+    return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
+            ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
 
 def parity_vector(v: int) -> int:
     """Column parities of a 40-bit word; bit c-1 is 1 when column c is odd."""
     p0, p1, p2, p3, p4 = _PARITY_BYTES
-    return (p0[v & 0xFF] | p1[(v >> 8) & 0xFF] | p2[(v >> 16) & 0xFF]
-            | p3[(v >> 24) & 0xFF] | p4[(v >> 32) & 0xFF])
+    return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
+            ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
 
 def proj(v: int) -> Gf4Word:
@@ -111,26 +103,23 @@ def parity_profile(v: int) -> ParityProfile:
     return ParityProfile(cols, top, majority, minority)
 
 
-def has_projection_o(v: int, code_words: frozenset[int]) -> bool:
-    """Projection-O membership: projection in the code, uniform column
-    parity, top-row parity equal to the column parity."""
+def _has_projection(v: int, code_words: frozenset[int], top_follows_columns: bool) -> bool:
+    """Projection membership: projection in the code, uniform column
+    parity, and a top-row parity equal to the column parity when
+    top_follows_columns (projection O), even otherwise (projection E)."""
     p = parity_profile(v)
-    return (
-        not p.minority_columns
-        and p.top_row_parity == p.majority_parity
-        and proj_bits(v) in code_words
-    )
+    top = p.majority_parity if top_follows_columns else 0
+    return not p.minority_columns and p.top_row_parity == top and proj_bits(v) in code_words
+
+
+def has_projection_o(v: int, code_words: frozenset[int]) -> bool:
+    """Projection-O membership: the top row has the column parity."""
+    return _has_projection(v, code_words, True)
 
 
 def has_projection_e(v: int, code_words: frozenset[int]) -> bool:
-    """Projection-E membership: as projection O but the top row parity is
-    required even regardless of the column parity."""
-    p = parity_profile(v)
-    return (
-        not p.minority_columns
-        and p.top_row_parity == 0
-        and proj_bits(v) in code_words
-    )
+    """Projection-E membership: the top row is even."""
+    return _has_projection(v, code_words, False)
 
 
 def _cheaper_candidate(nibble: int, value: int, parity: int) -> tuple[int, int]:

@@ -252,11 +252,11 @@ def orbit_lookup() -> dict[int, int]:
             image = sym.apply_bits(rep)
             prev = lookup.setdefault(image, typ.type_id)
             if prev != typ.type_id:
-                raise AssertionError(
+                raise InternalInvariantError(
                     f"orbit overlap: word in types {prev} and {typ.type_id}"
                 )
     if len(lookup) != CODE_SIZE - 1:
-        raise AssertionError(f"orbits cover {len(lookup)} words, want 1023")
+        raise InternalInvariantError(f"orbits cover {len(lookup)} words, want 1023")
     return lookup
 
 
@@ -279,7 +279,7 @@ def orbit_census() -> dict[int, int]:
             continue
         tid = lookup.get(bits)
         if tid is None:
-            raise AssertionError(
+            raise InternalInvariantError(
                 f"codeword {Gf4Word(bits, N).to_string()} has no orbit type"
             )
         census[tid] += 1

@@ -8,7 +8,7 @@ import sd40
 from sd40 import decoders as dc
 from sd40 import gf4, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
-from sd40.gf4 import Gf4Word
+from sd40.gf4 import Gf4Word, xor_span
 from sd40.oracle import indexed_decode
 from sd40.projection import parity_profile, parse_array_text, proj
 from sd40.quaternary import e10_matrix
@@ -132,6 +132,18 @@ def test_syndrome_examples(e10):
     assert dc.syndrome(Gf4Word.from_string("wwWWww1100")).to_string() == "0000W"
     for bits in e10.words:
         assert dc.syndrome(Gf4Word(bits, 10)).bits == 0
+
+
+def test_syndrome_byte_tables_match_h():
+    # Entry b of table k is H conj(y)^T for the projection y holding b in
+    # byte k, symbol r of the syndrome at bits 2r, 2r+1.
+    h = dc.parity_check_matrix()
+    tables = dc._syndrome_bytes()
+    assert [len(t) for t in tables] == [256, 256, 16]
+    for k, table in enumerate(tables):
+        for b, s in enumerate(table):
+            y = Gf4Word(b << 8 * k, 10)
+            assert s == sum(gf4.hermitian_inner(row, y) << 2 * r for r, row in enumerate(h))
 
 
 def test_parity_check_matrix_columns():
@@ -292,6 +304,25 @@ def test_decoders_commute_with_codeword_translation(code):
                 assert b.codeword == a.codeword ^ c
                 corrected += 1
     assert corrected > 20_000
+
+
+@pytest.mark.parametrize("code", ["DE", "SE"])
+def test_every_syndrome_coset_matches_the_oracle(code, de_oracle, se_oracle):
+    # One received word per binary syndrome coset, 2^20 in all.  The unit
+    # vectors at the reduced rows' pivot bits have syndromes 1, 2, 4, ...,
+    # so entry i of their span has syndrome i.  With the translation
+    # invariance above, this covers all 2^40 received words.
+    table = de_oracle if code == "DE" else se_oracle
+    leaders = table.leader_index
+    correctable = 0
+    for i, v in enumerate(xor_span([1 << (row.bit_length() - 1) for row in table.rows]).tolist()):
+        assert table._syndrome(v) == i
+        e = leaders.get(i)
+        want = None if e is None else v ^ e
+        r, s = dc.represent_decode(v, code), dc.syndrome_decode(v, code)
+        assert (r.codeword if r.ok else None) == (s.codeword if s.ok else None) == want, hex(v)
+        correctable += want is not None
+    assert correctable == 10_701
 
 
 def test_bad_arguments():

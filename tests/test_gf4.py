@@ -14,6 +14,7 @@ from sd40.gf4 import (
     ZERO,
     Gf4Word,
     add,
+    byte_tables,
     conj,
     hermitian_inner,
     mul,
@@ -181,3 +182,12 @@ def test_span_of_row_differences_is_gray_order(rows):
     span = xor_span(rows).tolist()
     gray = xor_span([r ^ prev for r, prev in zip(rows, [0] + rows)]).tolist()
     assert gray == [span[i ^ (i >> 1)] for i in range(len(span))]
+
+
+@given(st.lists(st.integers(0, (1 << 64) - 1), max_size=20), st.integers(0, (1 << 20) - 1))
+def test_byte_tables_answer_the_linear_map(images, v):
+    v &= (1 << len(images)) - 1
+    tables = byte_tables(images)
+    assert [len(t) for t in tables] == [1 << len(images[p:p + 8]) for p in range(0, len(images), 8)]
+    got = functools.reduce(operator.xor, (t[(v >> 8 * k) & 0xFF] for k, t in enumerate(tables)), 0)
+    assert got == functools.reduce(operator.xor, (im for p, im in enumerate(images) if v >> p & 1), 0)

@@ -1,10 +1,13 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from sd40.constructions import d4_block, printed_de_matrix
+from sd40.gf4 import InternalInvariantError, xor_span
 from sd40.oracle import (
+    OracleTable,
     build_oracle,
     indexed_decode,
     oracle_decode,
@@ -27,6 +30,36 @@ def test_table_basics(de_oracle):
 def test_leader_index_size(de_oracle):
     # 1 + C(40,1) + C(40,2) + C(40,3) distinct syndromes.
     assert len(de_oracle.leader_index) == 10_701
+
+
+def _reference_syndrome(v, rows):
+    """The row-parity loop: bit r is the parity of v & rows[r]."""
+    return sum(((v & row).bit_count() & 1) << r for r, row in enumerate(rows))
+
+
+@pytest.mark.parametrize("code", ["DE", "SE"])
+def test_syndrome_matches_row_parity_loop(code, de_oracle, se_oracle):
+    table = de_oracle if code == "DE" else se_oracle
+    rng = random.Random(61)
+    units = [1 << p for p in range(40)]
+    for v in units + [rng.getrandbits(40) for _ in range(20_000)]:
+        assert table._syndrome(v) == _reference_syndrome(v, table.rows), hex(v)
+    want = {}
+    for r in range(4):
+        for combo in combinations(units, r):
+            e = sum(combo)
+            want[_reference_syndrome(e, table.rows)] = e
+    assert len(want) == 10_701
+    assert table.leader_index == want
+
+
+def test_leader_index_rejects_low_distance_code():
+    # The self-dual code spanned by the twenty pairs 11 at bits 2i, 2i+1
+    # has distance 2: the unit errors at bits 0 and 1 share a syndrome.
+    rows = tuple(0b11 << (2 * i) for i in range(20))
+    table = OracleTable("pairs", rows, xor_span(rows))
+    with pytest.raises(InternalInvariantError, match="minimum distance below 8"):
+        table.leader_index
 
 
 def test_decode_codeword_is_identity(de_oracle):

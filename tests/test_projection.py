@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.projection import (
+    _PARITY_BYTES,
+    _PROJ_BYTES,
     COLUMN_PATTERNS,
     LiftError,
     candidates_for,
@@ -50,21 +52,30 @@ def test_proj_linearity(de_matrix):
         assert proj_bits(u ^ v) == proj_bits(u) ^ proj_bits(v)
 
 
+def _column_reference(v):
+    """Projection and column parities read column by column, as in the paper."""
+    y = parities = 0
+    for c in range(1, 11):
+        nib = column_nibble(v, c)
+        value = ((nib >> 2) & 1) ^ (2 if nib & 2 else 0) ^ (3 if nib & 1 else 0)
+        y |= value << (2 * (c - 1))
+        parities |= (nib.bit_count() & 1) << (c - 1)
+    return y, parities
+
+
 def test_byte_tables_match_column_definitions():
-    # Projection and parity read column by column, as in the paper.
     rng = random.Random(9)
     for v in [0, (1 << 40) - 1] + [rng.getrandbits(40) for _ in range(5_000)]:
-        y = parities = 0
-        for c in range(1, 11):
-            nib = column_nibble(v, c)
-            value = ((nib >> 2) & 1) ^ (2 if nib & 2 else 0) ^ (3 if nib & 1 else 0)
-            y |= value << (2 * (c - 1))
-            parities |= (nib.bit_count() & 1) << (c - 1)
+        y, parities = _column_reference(v)
         assert proj_bits(v) == y
         assert parity_vector(v) == parities
         assert parity_profile(v).column_parities == tuple(
             (parities >> i) & 1 for i in range(10)
         )
+    # Entry b of table k is the image of byte k holding b.
+    for k in range(5):
+        for b in range(256):
+            assert (_PROJ_BYTES[k][b], _PARITY_BYTES[k][b]) == _column_reference(b << 8 * k)
 
 
 def test_lift_tie_rules():
