@@ -41,8 +41,6 @@ from .quaternary import (
     MonomialSymmetry,
     OrbitType,
     QuaternaryGeneratorMatrix,
-    build_b10,
-    build_e10,
     classify_type,
     enumerate_code,
     orbit_census,

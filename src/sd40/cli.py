@@ -29,9 +29,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_ALGORITHMS = {"repr": "representation", "synd": "syndrome", "oracle": "oracle"}
-
-
 def parse_word(text: str) -> int:
     """40-bit word from a bit string (40 chars) or hex string (10 chars)."""
     text = text.strip()
@@ -64,50 +61,49 @@ def _oracle_for(code: str) -> oc.OracleTable:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Everything a verbose decode prints, fields mutually consistent."""
+    """A verbose decode: the received word and the decoder's outcome.
+    `render` reads every decode fact from the outcome; the projection
+    and, for the syndrome algorithm, the syndrome and the error word are
+    computed only for printing."""
 
-    algorithm: str
     code: str
     received: int
-    case_label: dc.CaseLabel | None
-    projection: Gf4Word
-    syndrome: Gf4Word | None
-    error_word: Gf4Word | None
-    corrected_projection: Gf4Word | None
     outcome: dc.DecodeOutcome
 
     def render(self) -> str:
+        v, out = self.received, self.outcome
+        y = pj.proj(v)
         lines = [
-            f"algorithm: {self.algorithm}",
+            f"algorithm: {out.algorithm}",
             f"code: {self.code}",
-            f"received: {format_word(self.received)}",
+            f"received: {format_word(v)}",
         ]
-        lines += _array_block(self.received, self.projection, "y")
-        prof = pj.parity_profile(self.received)
+        lines += _array_block(v, y, "y")
+        prof = pj.parity_profile(v)
         par = "".join("o" if p else "e" for p in prof.column_parities)
         top = "o" if prof.top_row_parity else "e"
         lines.append(f"column parities: {par}  top row: {top}")
-        if self.case_label is None:
+        if out.case is None:
             lines.append("case: none (four or more minority columns)")
         else:
-            c = self.case_label
+            c = out.case
             erased = " ".join(map(str, c.erasure_columns)) or "none"
             lines.append(f"case: {c.case_id}  {c.parity_split}  erasure columns: {erased}")
-        lines.append(f"projection y: {self.projection.to_string()}")
-        if self.syndrome is not None:
-            lines.append(f"syndrome H conj(y)^T: {self.syndrome.to_string()}")
-        if self.error_word is not None:
-            lines.append(f"error word e: {self.error_word.to_string()}")
-        if self.outcome.ok:
-            y2 = self.corrected_projection
+        lines.append(f"projection y: {y.to_string()}")
+        if out.algorithm == "syndrome":
+            lines.append(f"syndrome H conj(y)^T: {dc.syndrome(y).to_string()}")
+            if out.ok:
+                lines.append(f"error word e: {(y + out.corrected_projection).to_string()}")
+        if out.ok:
+            y2 = out.corrected_projection
             lines.append(f"corrected projection y': {y2.to_string()}")
-            lines += _array_block(self.outcome.codeword, y2, "y'")
-            flips = " ".join(map(str, self.outcome.flipped_bits)) or "none"
+            lines += _array_block(out.codeword, y2, "y'")
+            flips = " ".join(map(str, out.flipped_bits)) or "none"
             lines.append(f"flipped bits: {flips}")
             lines.append(f"decoded: codeword of C40,1-{self.code}")
-            lines.append(f"codeword: {format_word(self.outcome.codeword)}")
+            lines.append(f"codeword: {format_word(out.codeword)}")
         else:
-            lines.append(f"decoded: {self.outcome.reason}")
+            lines.append(f"decoded: {out.reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -121,33 +117,23 @@ def _array_block(v: int, y: Gf4Word, label: str) -> list[str]:
     return lines
 
 
+def _oracle_decode(v: int, code: str) -> dc.DecodeOutcome:
+    """The coset-leader oracle's verdict as an outcome of the parity case."""
+    cw = oc.indexed_decode(v, _oracle_for(code))
+    case = dc.classify_case(v)
+    if cw is None:
+        return dc._failure("oracle", case)
+    return dc.DecodeOutcome("oracle", True, cw, pj.proj(cw), pj.flip_positions(v ^ cw), case)
+
+
+def _decoders() -> dict:
+    """Algorithm name -> decoder, read from the modules at call time."""
+    return {"repr": dc.represent_decode, "synd": dc.syndrome_decode, "oracle": _oracle_decode}
+
+
 def decode_transcript(v: int, algorithm: str, code: str) -> Transcript:
-    """Run one decoder and collect the full diagnostic trail."""
-    name = _ALGORITHMS[algorithm]
-    y = pj.proj(v)
-    syn = err = None
-    if name == "oracle":
-        cw = oc.indexed_decode(v, _oracle_for(code))
-        case = dc.classify_case(v)
-        if cw is None:
-            outcome = dc.DecodeOutcome(
-                "oracle", False, None, None, (), case, dc.FAILURE_REASON
-            )
-            corrected = None
-        else:
-            flips = pj.flip_positions(v ^ cw)
-            corrected = pj.proj(cw)
-            outcome = dc.DecodeOutcome("oracle", True, cw, corrected, flips, case)
-    else:
-        if name == "syndrome":
-            syn = dc.syndrome(y)
-            outcome = dc.syndrome_decode(v, code)
-            if outcome.ok:
-                err = Gf4Word(y.bits ^ outcome.corrected_projection.bits, N_COLS)
-        else:
-            outcome = dc.represent_decode(v, code)
-        corrected = outcome.corrected_projection
-    return Transcript(name, code, v, outcome.case, y, syn, err, corrected, outcome)
+    """Run one decoder and keep its outcome for printing."""
+    return Transcript(code, v, _decoders()[algorithm](v, code))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decode", help="decode a 40-bit word")
     dec.add_argument("word")
-    dec.add_argument("--algorithm", choices=tuple(_ALGORITHMS), default="repr")
+    dec.add_argument("--algorithm", choices=tuple(_decoders()), default="repr")
     dec.add_argument("--code", choices=("DE", "SE"), default="DE")
     dec.add_argument("--verbose", action="store_true")
     dec.set_defaults(func=cmd_decode)

@@ -68,8 +68,8 @@ from dataclasses import dataclass
 from .gf4 import CONJ, MUL, Gf4Word, InternalInvariantError, byte_tables, xor_span
 # parity_profile is not called here but stays a name of this module:
 # perfbench/spans.py wraps it along with the decoder stages.
-from .projection import (N_BITS, N_COLS, LiftError, lift, parity_profile,  # noqa: F401
-                         parity_vector, proj_bits)
+from .projection import (N_BITS, N_COLS, LiftError, lift, packed_projection,
+                         parity_profile, parity_vector, proj_bits)  # noqa: F401
 from .quaternary import e10_matrix, e10_table, orbit_lookup
 
 FAILURE_REASON = "more than three errors occurred"
@@ -154,15 +154,6 @@ def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, .
     return tuple(patterns)
 
 
-def _packed(y: Gf4Word | int) -> int:
-    """The packed form of a projection given as a word or as its bits."""
-    if isinstance(y, Gf4Word):
-        return y.bits
-    if not 0 <= y < 1 << (2 * N_COLS):
-        raise ValueError(f"projection {y} is not a packed {N_COLS}-symbol word")
-    return y
-
-
 @functools.lru_cache(maxsize=None)
 def _e10_words() -> dict[int, Gf4Word]:
     """Packed E10 codeword -> its shared Gf4Word."""
@@ -181,7 +172,7 @@ def find_closest_in_e10(
     patterns = _budget_patterns(tuple(erasures), max_errors)
     if members is None:
         members = e10_table().word_set
-    found = members.intersection(map(_packed(y).__xor__, patterns))
+    found = members.intersection(map(packed_projection(y).__xor__, patterns))
     if len(found) > 1:
         raise InternalInvariantError(f"{len(found)} codewords inside budget")
     if not found:
@@ -258,7 +249,7 @@ def _syndrome_words() -> tuple[Gf4Word, ...]:
 
 def syndrome(y: Gf4Word | int) -> Gf4Word:
     """H conj(y)^T as a 5-symbol word; zero exactly on codewords."""
-    return _syndrome_words()[_syndrome_bits(_packed(y))]
+    return _syndrome_words()[_syndrome_bits(packed_projection(y))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,6 +280,8 @@ def solve_syndrome(
     """The unique error word e with s = H conj(e)^T supported on the
     erasure columns plus at most max_errors further positions, or None.
     An erased column may carry no projection error."""
+    if s.n != 5:
+        raise ValueError(f"{s!r} is not a 5-symbol syndrome")
     return _syndrome_table(tuple(erasures), max_errors).get(s.bits)
 
 

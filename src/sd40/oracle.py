@@ -1,7 +1,7 @@
 """Independent ground-truth decoder for the binary [40,20,8] codes.
 
-The oracle enumerates all 2^20 codewords once and answers nearest-
-codeword queries by scanning them; minimum distance 8 makes any codeword
+The linear scan enumerates all 2^20 codewords on first use and answers
+nearest-codeword queries by scanning them; minimum distance 8 makes any codeword
 within radius 3 unique, so a scan may stop at the first hit.  That scan
 is the trust anchor: it assumes nothing but the table.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -30,17 +30,24 @@ RADIUS = 3
 
 @dataclass(frozen=True)
 class OracleTable:
-    """All 2^20 codewords, packed as uint64 in Gray-code order: words[i]
-    is the XOR of the reduced rows at the set bits of i ^ (i >> 1), so
-    consecutive entries differ in one row."""
+    """The oracle of a [40,20] code, held as its reduced basis.  Every
+    lookup table is built from the rows on first use, and so is `words`,
+    the codeword array that only the linear scan reads."""
 
     name: str
     rows: tuple[int, ...]  # reduced basis used for enumeration and syndromes
-    words: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return int(self.words.size)
+        return 1 << len(self.rows)
+
+    @functools.cached_property
+    def words(self) -> np.ndarray:
+        """All 2^20 codewords, packed as uint64 in Gray-code order: words[i]
+        is the XOR of the rows at the set bits of i ^ (i >> 1), so
+        consecutive entries differ in one row.  That is the span of the
+        row differences r_j ^ r_(j-1) (r_(-1) = 0) at i."""
+        return xor_span([r ^ prev for r, prev in zip(self.rows, (0,) + self.rows)])
 
     @functools.cached_property
     def word_set(self) -> frozenset[int]:
@@ -79,24 +86,18 @@ class OracleTable:
 
 
 def build_oracle(matrix: BinaryGeneratorMatrix) -> OracleTable:
-    """Enumerate the full span in Gray-code order over the reduced basis.
-
-    Entry i is the XOR of the rows at the set bits of i ^ (i >> 1), which
-    is the span of the row differences r_j ^ r_(j-1) (r_(-1) = 0) at i.
-    """
-    rows = matrix.reduced
-    words = xor_span([r ^ prev for r, prev in zip(rows, (0,) + rows)])
-    return OracleTable(matrix.name, rows, words)
+    """The oracle of a matrix, over its reduced basis; nothing is
+    enumerated until a table is read."""
+    return OracleTable(matrix.name, matrix.reduced)
 
 
-def oracle_decode(v: int, table: OracleTable, radius: int = RADIUS) -> int | None:
-    """Nearest codeword by linear scan, or None beyond the radius.
+def oracle_decode(v: int, table: OracleTable) -> int | None:
+    """Nearest codeword by linear scan of `table.words`, or None beyond
+    radius 3.
 
     Scans in chunks and exits at the first codeword within the radius,
-    which is the unique nearest one whenever radius <= 3.
+    which is the unique nearest one because the distance is 8.
     """
-    if radius > RADIUS:
-        raise ValueError(f"radius {radius} forfeits uniqueness (max {RADIUS})")
     if v >> N_BITS:  # -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     target = np.uint64(v)
@@ -106,21 +107,17 @@ def oracle_decode(v: int, table: OracleTable, radius: int = RADIUS) -> int | Non
         block = words[start:start + chunk]
         dists = np.bitwise_count(block ^ target)
         pos = int(dists.argmin())
-        if dists[pos] <= radius:
+        if dists[pos] <= RADIUS:
             return int(block[pos])
     return None
 
 
-def indexed_decode(v: int, table: OracleTable, radius: int = RADIUS) -> int | None:
+def indexed_decode(v: int, table: OracleTable) -> int | None:
     """Scan-equivalent fast path via the weight-<=3 coset-leader index."""
-    if radius > RADIUS:
-        raise ValueError(f"radius {radius} forfeits uniqueness (max {RADIUS})")
     if v >> N_BITS:  # -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     e = table.leader_index.get(table._syndrome(v))
-    if e is None or e.bit_count() > radius:
-        return None
-    return v ^ e
+    return None if e is None else v ^ e
 
 
 def words_sha256(table: OracleTable) -> str:

@@ -67,6 +67,17 @@ def parity_vector(v: int) -> int:
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
 
+def packed_projection(y: Gf4Word | int) -> int:
+    """The packed form of a projection given as a word or as its bits;
+    anything but 10 symbols is a ValueError."""
+    if isinstance(y, Gf4Word):
+        if y.n == N_COLS:
+            return y.bits
+    elif 0 <= y < 1 << (2 * N_COLS):
+        return y
+    raise ValueError(f"{y!r} is not a packed {N_COLS}-symbol projection")
+
+
 def proj(v: int) -> Gf4Word:
     """Projection of a 40-bit word onto GF(4)^10."""
     return Gf4Word(proj_bits(v), N_COLS)
@@ -156,7 +167,7 @@ def lift(
     Returns the rewritten word and the 1-based flipped coordinates.
     Raises LiftError when no rewrite exists within max_flips.
     """
-    target = y_corrected.bits if isinstance(y_corrected, Gf4Word) else y_corrected
+    target = packed_projection(y_corrected)
     wrong_value = proj_bits(v) ^ target
     wrong_parity = parity_vector(v) ^ ((1 << N_COLS) - 1 if column_parity else 0)
     # Bit 2i is set when column i+1 must be rewritten.

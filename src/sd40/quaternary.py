@@ -84,25 +84,6 @@ class CodeTable:
     word_set: frozenset[int]
     weight_distribution: dict[int, int]
 
-    def __contains__(self, bits: int) -> bool:
-        return bits in self.word_set
-
-    def to_text(self) -> str:
-        """One codeword per line in the CLI alphabet, enumeration order."""
-        return "\n".join(Gf4Word(w, N).to_string() for w in self.words) + "\n"
-
-
-def build_e10() -> QuaternaryGeneratorMatrix:
-    return QuaternaryGeneratorMatrix(
-        "E10", tuple(Gf4Word.from_symbols(r) for r in _E10_ROWS)
-    )
-
-
-def build_b10() -> QuaternaryGeneratorMatrix:
-    return QuaternaryGeneratorMatrix(
-        "B10", tuple(Gf4Word.from_symbols(r) for r in _B10_ROWS)
-    )
-
 
 def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
     """All 2^10 GF(2)-linear combinations of the rows; words[i] is the XOR
@@ -123,12 +104,12 @@ def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
 
 @functools.lru_cache(maxsize=None)
 def e10_matrix() -> QuaternaryGeneratorMatrix:
-    return build_e10()
+    return QuaternaryGeneratorMatrix("E10", tuple(Gf4Word.from_symbols(r) for r in _E10_ROWS))
 
 
 @functools.lru_cache(maxsize=None)
 def b10_matrix() -> QuaternaryGeneratorMatrix:
-    return build_b10()
+    return QuaternaryGeneratorMatrix("B10", tuple(Gf4Word.from_symbols(r) for r in _B10_ROWS))
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sd40 import cli
-from sd40.constructions import printed_de_matrix, printed_se_matrix
+from sd40.constructions import d4_block, printed_de_matrix, printed_se_matrix
 from sd40.gf4 import InternalInvariantError
 from sd40.projection import parse_array_text
 
@@ -127,16 +127,51 @@ def test_corrupt_random_reproducible(capsys):
     assert out1 == out2
 
 
+def _as_oracle(transcript):
+    """A representation transcript as the oracle prints it: the same
+    trail under the oracle's name."""
+    first, rest = transcript.split("\n", 1)
+    assert first == "algorithm: representation"
+    return "algorithm: oracle\n" + rest
+
+
 @pytest.mark.parametrize("k", (1, 2, 3, 4))
-@pytest.mark.parametrize("algo", ("repr", "synd"))
+@pytest.mark.parametrize("algo", ("repr", "synd", "oracle"))
 def test_golden_transcripts(capsys, k, algo):
     v = parse_array_text(RECEIVED[k])
     code, out, _ = run(
         capsys, "decode", word_str(v), "--algorithm", algo, "--verbose"
     )
     assert code == 0
-    golden = (FIXTURES / f"example{k}_{algo}.txt").read_text()
+    if algo == "oracle":
+        golden = _as_oracle((FIXTURES / f"example{k}_repr.txt").read_text())
+    else:
+        golden = (FIXTURES / f"example{k}_{algo}.txt").read_text()
     assert out == golden
+
+
+def test_verbose_oracle_failure(capsys):
+    # A whole column flipped keeps every column parity: case I, and more
+    # than three errors for every decoder.
+    v = word_str(printed_de_matrix().encode(0xBEEF5) ^ d4_block(4))
+    code, out, _ = run(capsys, "decode", v, "--algorithm", "oracle", "--verbose")
+    assert code == cli.EXIT_FAILURE
+    lines = out.splitlines()
+    assert "case: I  [10; 0]  erasure columns: none" in lines
+    assert lines[-1] == "decoded: more than three errors occurred"
+    code, repr_out, _ = run(capsys, "decode", v, "--verbose")
+    assert code == cli.EXIT_FAILURE
+    assert out == _as_oracle(repr_out)
+
+
+def test_oracle_commands_leave_the_codeword_array_unbuilt(capsys):
+    # decode --algorithm oracle and fuzz answer from the coset-leader
+    # index; only the linear scan reads the 2^20-codeword array.
+    v = word_str(parse_array_text(RECEIVED[2]))
+    assert run(capsys, "decode", v, "--algorithm", "oracle")[0] == cli.EXIT_OK
+    assert run(capsys, "fuzz", "--trials", "200")[0] == cli.EXIT_OK
+    table = vars(cli._oracle_for("DE"))
+    assert "leader_index" in table and "words" not in table
 
 
 def test_decode_codeword_short_output(capsys):
@@ -251,3 +286,12 @@ def test_tables_pipe_into_certify(capsys, tmp_path):
     path.write_text(out)
     code, out, _ = run(capsys, "certify", str(path))
     assert code == 0 and "singly-even" in out
+
+
+def test_decode_transcript_holds_the_outcome():
+    v = parse_array_text(RECEIVED[3])
+    t = cli.decode_transcript(v, "synd", "DE")
+    assert list(vars(t)) == ["code", "received", "outcome"]
+    assert t.outcome == cli.dc.syndrome_decode(v, "DE")
+    with pytest.raises(KeyError):
+        cli.decode_transcript(v, "scan", "DE")

@@ -10,7 +10,7 @@ from sd40 import gf4, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.gf4 import Gf4Word, xor_span
 from sd40.oracle import indexed_decode
-from sd40.projection import parity_profile, parse_array_text, proj
+from sd40.projection import lift, parity_profile, parse_array_text, proj
 from sd40.quaternary import e10_matrix
 
 # The four worked examples: received array, corrected projection,
@@ -421,6 +421,27 @@ def test_projection_domain(y):
         dc.syndrome(Gf4Word(y, 10))
     top = (1 << 20) - 1
     assert dc.syndrome(top) is dc.syndrome(Gf4Word(top, 10))
+
+
+# A stage takes a 10-symbol projection or a 5-symbol syndrome, and a word
+# of another length is an error, not a shorter or longer word read as one.
+WRONG_LENGTH = {
+    "syndrome-1": (dc.syndrome, Gf4Word.from_string("1")),
+    "syndrome-11": (dc.syndrome, Gf4Word(0, 11)),
+    "solve_syndrome-10": (dc.solve_syndrome, Gf4Word(1, 10), (), 1),
+    "solve_syndrome-4": (dc.solve_syndrome, Gf4Word(0, 4)),
+    "find_closest_in_e10-5": (dc.find_closest_in_e10, Gf4Word.from_string("11110")),
+    "lift-3": (lift, 0, Gf4Word(0, 3), 0, 0),
+    "lift-11": (lift, 0, Gf4Word(0, 11), 0, 0),
+    "lift-int": (lift, 0, 1 << 20, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_LENGTH)
+def test_stages_reject_words_of_the_wrong_length(name):
+    fn, *args = WRONG_LENGTH[name]
+    with pytest.raises(ValueError, match="symbol"):
+        fn(*args)
 
 
 @pytest.mark.parametrize("algorithm", ["representation", "syndrome"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sd40.constructions import d4_block, printed_de_matrix
-from sd40.gf4 import InternalInvariantError, xor_span
+from sd40.gf4 import InternalInvariantError
 from sd40.oracle import (
     OracleTable,
     build_oracle,
@@ -25,6 +25,20 @@ def test_table_basics(de_oracle):
     assert len(de_oracle.word_set) == 1 << 20
     nonzero = de_oracle.words[de_oracle.words != 0]
     assert int(np.bitwise_count(nonzero).min()) == 8
+
+
+def test_table_is_its_rows(de_matrix):
+    # Two oracles of one matrix are equal and hash alike: the table's
+    # fields are its name and rows, and every lookup table, the codeword
+    # array included, is built from them on first read.
+    table, again = build_oracle(de_matrix), build_oracle(de_matrix)
+    assert table == again and hash(table) == hash(again)
+    assert table.rows == de_matrix.reduced and table.size == 1 << 20
+    assert indexed_decode(de_matrix.encode(5) ^ 1, table) == de_matrix.encode(5)
+    assert "words" not in vars(table)
+    assert oracle_decode(de_matrix.encode(5) ^ 1, table) == de_matrix.encode(5)
+    assert "words" in vars(table)
+    assert table == again
 
 
 def test_leader_index_size(de_oracle):
@@ -57,7 +71,7 @@ def test_leader_index_rejects_low_distance_code():
     # The self-dual code spanned by the twenty pairs 11 at bits 2i, 2i+1
     # has distance 2: the unit errors at bits 0 and 1 share a syndrome.
     rows = tuple(0b11 << (2 * i) for i in range(20))
-    table = OracleTable("pairs", rows, xor_span(rows))
+    table = OracleTable("pairs", rows)
     with pytest.raises(InternalInvariantError, match="minimum distance below 8"):
         table.leader_index
 
@@ -83,18 +97,6 @@ def test_weight_four_column_error_is_undecodable(de_oracle):
     v = cw ^ d4_block(4)
     assert oracle_decode(v, de_oracle) is None
     assert indexed_decode(v, de_oracle) is None
-
-
-def test_radius_cap(de_oracle):
-    with pytest.raises(ValueError):
-        oracle_decode(0, de_oracle, radius=4)
-    with pytest.raises(ValueError):
-        indexed_decode(0, de_oracle, radius=4)
-    # Radius below 3 narrows the accepted shell.
-    cw = printed_de_matrix().encode(3)
-    v = cw ^ (0b0011 << 36)  # flip two bits of column 1
-    assert oracle_decode(v, de_oracle, radius=1) is None
-    assert oracle_decode(v, de_oracle, radius=2) == cw
 
 
 def test_indexed_equals_scan_on_random_words(de_oracle):

@@ -153,8 +153,3 @@ def test_classify_rejects_non_codewords():
     with pytest.raises(ValueError):
         classify_type(Gf4Word.from_string("1000000000"))
 
-
-def test_code_table_text_roundtrip(e10):
-    lines = e10.to_text().splitlines()
-    assert len(lines) == 1024
-    assert {Gf4Word.from_string(ln).bits for ln in lines} == e10.word_set
