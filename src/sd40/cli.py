@@ -45,6 +45,13 @@ def format_word(v: int, hex_out: bool = False) -> str:
     return format(v, f"0{N_BITS // 4}x") if hex_out else format(v, f"0{N_BITS}b")
 
 
+def _flip_weight(option: str, weight: int) -> int:
+    """A bound on random bit flips, which a 40-bit word keeps in 0..40."""
+    if not 0 <= weight <= N_BITS:
+        raise ValueError(f"{option} must lie in 0..{N_BITS}, got {weight}")
+    return weight
+
+
 def _matrix_for(code: str) -> cn.BinaryGeneratorMatrix:
     return cn.printed_de_matrix() if code == "DE" else cn.printed_se_matrix()
 
@@ -164,7 +171,7 @@ def cmd_corrupt(args) -> int:
             raise ValueError(f"positions must lie in 1..{N_BITS}")
     else:
         rng = random.Random(args.seed)
-        weight = rng.randint(0, args.random_weight)
+        weight = rng.randint(0, _flip_weight("--random-weight", args.random_weight))
         positions = rng.sample(range(1, N_BITS + 1), weight)
     for p in positions:
         word ^= 1 << (N_BITS - p)
@@ -197,13 +204,14 @@ def cmd_certify(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials <= 0:
         raise ValueError("trials must be positive")
+    max_weight = _flip_weight("--max-weight", args.max_weight)
     rng = random.Random(args.seed)
     matrix = _matrix_for(args.code)
     table = _oracle_for(args.code)
     corrected = failures = mismatches = 0
     for _ in range(args.trials):
         cw = matrix.encode(rng.getrandbits(20))
-        weight = rng.randint(0, args.max_weight)
+        weight = rng.randint(0, max_weight)
         v = cw
         for p in rng.sample(range(N_BITS), weight):
             v ^= 1 << p

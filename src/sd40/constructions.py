@@ -15,9 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .gf4 import Gf4Word, xor_span
+from .gf4 import Gf4Word, xor_span_array
 from .projection import N_BITS, N_COLS
 from .quaternary import QuaternaryGeneratorMatrix, b10_matrix, e10_matrix
 
@@ -177,7 +175,9 @@ def certify(matrix: BinaryGeneratorMatrix) -> CertificationReport:
     """Enumerate all 2^20 codewords (entry i is the XOR of the reduced rows
     at the set bits of i) and report self-duality, minimum distance,
     weight histogram, type."""
-    counts = np.bincount(np.bitwise_count(xor_span(matrix.reduced)))
+    import numpy as np
+
+    counts = np.bincount(np.bitwise_count(xor_span_array(matrix.reduced)))
     dist = {w: int(c) for w, c in enumerate(counts) if c}
     min_d = min(w for w in dist if w > 0)
     if any(w % 2 for w in dist):

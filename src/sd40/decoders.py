@@ -113,6 +113,8 @@ _CASES = _case_table()
 def classify_case(v: int) -> CaseLabel | None:
     """Map the column parities to a case, or None when four or more
     columns disagree with the majority (undecodable)."""
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     return _CASES[parity_vector(v)]
 
 
@@ -145,7 +147,7 @@ def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, .
         raise ValueError("budget violates unique-decoding bound")
     if len(set(erasures)) != len(erasures) or not set(erasures) <= set(range(1, N_COLS + 1)):
         raise ValueError(f"erasures must be distinct columns 1..{N_COLS}: {erasures}")
-    fills = xor_span([val << (2 * (c - 1)) for c in erasures for val in (1, 2)]).tolist()
+    fills = xor_span([val << (2 * (c - 1)) for c in erasures for val in (1, 2)])
     patterns = list(fills)
     if max_errors:  # the bound leaves room for one error at most
         for c in range(1, N_COLS + 1):
@@ -302,9 +304,7 @@ def _decode(v: int, algorithm: str, code: str,
         raise ValueError(f"code must be DE or SE, got {code!r}")
     if algorithm not in ("representation", "syndrome"):
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    if not 0 <= v < 1 << N_BITS:
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    case = classify_case(v)
+    case = classify_case(v)  # rejects v outside [0, 2^40)
     if case is None:
         return _failure(algorithm, None)
     y = proj_bits(v)

@@ -9,15 +9,15 @@ position i (0-based, leftmost symbol first) at bits 2i..2i+1.  Packing
 keeps codeword tables small and makes vector addition one XOR.
 
 Every linear structure in the package (codeword tables of GF(2)-spans and
-lookup tables of GF(2)-linear maps) is built by `xor_span`.
+lookup tables of GF(2)-linear maps) is built by `xor_span`, as a list.
+Only the exhaustive 2^20 checks need an array; `xor_span_array` composes
+it from two list spans and imports numpy when it is called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 
@@ -60,18 +60,30 @@ def trace(a: int) -> int:
     return TRACE[a]
 
 
-def xor_span(rows: Sequence[int]) -> np.ndarray:
-    """All 2^k GF(2)-combinations of k rows as uint64: entry i is the XOR
-    of the rows at the set bits of i (bit j selects rows[j]).
+def xor_span(rows: Sequence[int]) -> list[int]:
+    """All 2^k GF(2)-combinations of k rows: entry i is the XOR of the rows
+    at the set bits of i (bit j selects rows[j]).
 
     Over the basis images of a GF(2)-linear map this is the map's lookup
-    table.  The array doubles in place, so it is the only allocation.
+    table.  The list doubles once per row.
     """
-    words = np.empty(1 << len(rows), dtype=np.uint64)
-    words[0] = 0
-    for j, row in enumerate(rows):
-        np.bitwise_xor(words[:1 << j], np.uint64(row), out=words[1 << j:2 << j])
+    words = [0]
+    for row in rows:
+        words += [w ^ row for w in words]
     return words
+
+
+def xor_span_array(rows: Sequence[int]):
+    """`xor_span` as a uint64 numpy array, for the 2^20 spans that only
+    the exhaustive checks read: the outer XOR of the list spans of the
+    high and low halves of the rows, so entry i is still the XOR of the
+    rows at the set bits of i."""
+    import numpy as np
+
+    half = len(rows) // 2
+    lo = np.array(xor_span(rows[:half]), dtype=np.uint64)
+    hi = np.array(xor_span(rows[half:]), dtype=np.uint64)
+    return np.bitwise_xor.outer(hi, lo).ravel()
 
 
 def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -79,7 +91,7 @@ def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     bit p (images[p]): entry b of table k is the image of byte k holding b
     (the last table has 2^(len(images) - 8k) entries).  A word's image is
     the XOR of its bytes' entries."""
-    return tuple(tuple(xor_span(images[p:p + 8]).tolist()) for p in range(0, len(images), 8))
+    return tuple(tuple(xor_span(images[p:p + 8])) for p in range(0, len(images), 8))
 
 
 def word_symbol(bits: int, i: int) -> int:

@@ -20,10 +20,8 @@ import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .constructions import N_BITS, BinaryGeneratorMatrix
-from .gf4 import InternalInvariantError, byte_tables, xor_span
+from .gf4 import InternalInvariantError, byte_tables, xor_span_array
 
 RADIUS = 3
 
@@ -42,12 +40,12 @@ class OracleTable:
         return 1 << len(self.rows)
 
     @functools.cached_property
-    def words(self) -> np.ndarray:
+    def words(self):
         """All 2^20 codewords, packed as uint64 in Gray-code order: words[i]
         is the XOR of the rows at the set bits of i ^ (i >> 1), so
         consecutive entries differ in one row.  That is the span of the
         row differences r_j ^ r_(j-1) (r_(-1) = 0) at i."""
-        return xor_span([r ^ prev for r, prev in zip(self.rows, (0,) + self.rows)])
+        return xor_span_array([r ^ prev for r, prev in zip(self.rows, (0,) + self.rows)])
 
     @functools.cached_property
     def word_set(self) -> frozenset[int]:
@@ -100,6 +98,8 @@ def oracle_decode(v: int, table: OracleTable) -> int | None:
     """
     if v >> N_BITS:  # -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
+    import numpy as np
+
     target = np.uint64(v)
     chunk = 1 << 16
     words = table.words

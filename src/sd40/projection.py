@@ -40,7 +40,7 @@ _PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
 
 # 10-bit column mask -> the same mask with bit i moved to bit 2i, the
 # position layout of packed GF(4) words.
-_SPREAD = tuple(xor_span([1 << (2 * i) for i in range(N_COLS)]).tolist())
+_SPREAD = tuple(xor_span([1 << (2 * i) for i in range(N_COLS)]))
 _LOW_BITS = nonzero_mask(N_COLS)  # the low bit of every symbol
 
 
@@ -54,14 +54,16 @@ def column_nibble(v: int, col: int) -> int:
 
 
 def proj_bits(v: int) -> int:
-    """Packed projection of a 40-bit word (hot-path form)."""
+    """Packed projection of a 40-bit word (hot-path form).  v must lie in
+    [0, 2^40): any other int is read by its low 40 bits, silently."""
     p0, p1, p2, p3, p4 = _PROJ_BYTES
     return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
 
 def parity_vector(v: int) -> int:
-    """Column parities of a 40-bit word; bit c-1 is 1 when column c is odd."""
+    """Column parities; bit c-1 is 1 when column c is odd.  v must lie in
+    [0, 2^40): any other int is read by its low 40 bits, silently."""
     p0, p1, p2, p3, p4 = _PARITY_BYTES
     return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
@@ -80,6 +82,8 @@ def packed_projection(y: Gf4Word | int) -> int:
 
 def proj(v: int) -> Gf4Word:
     """Projection of a 40-bit word onto GF(4)^10."""
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     return Gf4Word(proj_bits(v), N_COLS)
 
 
@@ -104,6 +108,8 @@ class ParityProfile:
 
 
 def parity_profile(v: int) -> ParityProfile:
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     parities = parity_vector(v)
     cols = tuple((parities >> i) & 1 for i in range(N_COLS))
     odd = parities.bit_count()
@@ -167,6 +173,8 @@ def lift(
     Returns the rewritten word and the 1-based flipped coordinates.
     Raises LiftError when no rewrite exists within max_flips.
     """
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     target = packed_projection(y_corrected)
     wrong_value = proj_bits(v) ^ target
     wrong_parity = parity_vector(v) ^ ((1 << N_COLS) - 1 if column_parity else 0)

@@ -91,7 +91,7 @@ def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
 
     Raises ValueError if the rows are dependent over GF(2) (span < 2^10).
     """
-    words = tuple(xor_span([r.bits for r in matrix.rows]).tolist())
+    words = tuple(xor_span([r.bits for r in matrix.rows]))
     word_set = frozenset(words)
     if len(word_set) != CODE_SIZE:
         raise ValueError(f"{matrix.name}: rows are GF(2)-dependent")
@@ -243,6 +243,8 @@ def orbit_lookup() -> dict[int, int]:
 
 def classify_type(word: Gf4Word) -> OrbitType:
     """The unique type whose orbit contains the given nonzero codeword."""
+    if word.n != N:
+        raise ValueError(f"{word!r} is not a {N}-symbol word")
     if word.bits == 0:
         raise ValueError("the zero word has no type")
     tid = orbit_lookup().get(word.bits)

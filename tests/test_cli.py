@@ -263,6 +263,20 @@ def test_fuzz_bad_trials(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("weight", ["41", "-1"])
+@pytest.mark.parametrize("option, command", [
+    ("--random-weight", ("corrupt", "0" * 10, "--seed", "27")),
+    ("--max-weight", ("fuzz", "--trials", "20")),
+])
+def test_flip_weight_bounds(capsys, option, command, weight):
+    # A 40-bit word has 0..40 bits to flip: a bound outside that range is
+    # a usage error that names its option, whatever the seed draws.
+    code, out, err = run(capsys, *command, option, weight)
+    assert code == cli.EXIT_USAGE and not out
+    assert err == f"error: {option} must lie in 0..40, got {weight}\n"
+    assert run(capsys, *command, option, "40")[0] == cli.EXIT_OK
+
+
 def test_census_output(capsys):
     code, out, _ = run(capsys, "census")
     assert code == 0

@@ -10,8 +10,9 @@ from sd40 import gf4, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.gf4 import Gf4Word, xor_span
 from sd40.oracle import indexed_decode
-from sd40.projection import lift, parity_profile, parse_array_text, proj
-from sd40.quaternary import e10_matrix
+from sd40.projection import (has_projection_e, has_projection_o, lift, parity_profile,
+                             parse_array_text, proj)
+from sd40.quaternary import classify_type, e10_matrix
 
 # The four worked examples: received array, corrected projection,
 # syndrome of the received projection, flipped coordinates, case.
@@ -315,7 +316,7 @@ def test_every_syndrome_coset_matches_the_oracle(code, de_oracle, se_oracle):
     table = de_oracle if code == "DE" else se_oracle
     leaders = table.leader_index
     correctable = 0
-    for i, v in enumerate(xor_span([1 << (row.bit_length() - 1) for row in table.rows]).tolist()):
+    for i, v in enumerate(xor_span([1 << (row.bit_length() - 1) for row in table.rows])):
         assert table._syndrome(v) == i
         e = leaders.get(i)
         want = None if e is None else v ^ e
@@ -333,13 +334,21 @@ def test_bad_arguments():
 @pytest.mark.parametrize("v", [1 << 40, -1, (1 << 40) + 5, -(1 << 40)])
 def test_received_word_domain(v):
     # Only the five low bytes reach the table lookups; the rest must not
-    # be dropped silently.
-    with pytest.raises(ValueError):
+    # be dropped silently.  The public stages reject such words as the
+    # decoders do: read by their low 40 bits, 2^40 and -2^40 are the zero
+    # codeword, which every membership test and the lift would accept.
+    with pytest.raises(ValueError, match="40-bit"):
         dc.represent_decode(v)
     with pytest.raises(ValueError):
         dc.syndrome_decode(v)
     with pytest.raises(ValueError):
         dc.syndrome_decode(v, "SE")
+    e10_words = quaternary.e10_table().word_set
+    stages = [dc.classify_case, proj, parity_profile, lambda w: lift(w, 0, 0, 0),
+              lambda w: has_projection_o(w, e10_words), lambda w: has_projection_e(w, e10_words)]
+    for stage in stages:
+        with pytest.raises(ValueError, match="40-bit"):
+            stage(v)
     assert dc.represent_decode((1 << 40) - 1).algorithm == "representation"
 
 
@@ -434,6 +443,8 @@ WRONG_LENGTH = {
     "lift-3": (lift, 0, Gf4Word(0, 3), 0, 0),
     "lift-11": (lift, 0, Gf4Word(0, 11), 0, 0),
     "lift-int": (lift, 0, 1 << 20, 0, 0),
+    # The bits of an E10 codeword, read as 11 symbols, are no codeword.
+    "classify_type-11": (classify_type, Gf4Word(e10_matrix().rows[0].bits, 11)),
 }
 
 

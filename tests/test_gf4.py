@@ -4,7 +4,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sd40.gf4 import (
@@ -23,6 +23,7 @@ from sd40.gf4 import (
     word_scale,
     word_weight,
     xor_span,
+    xor_span_array,
 )
 
 ELEMENTS = (ZERO, ONE, OMEGA, OMEGA_BAR)
@@ -169,18 +170,24 @@ ROWS = st.lists(st.integers(0, (1 << 64) - 1), max_size=8)
 
 
 @given(ROWS)
+@example([])
+@example([(1 << 64) - 1])
+@example([3, 5, 1 << 63])
 def test_xor_span_entry_is_xor_of_selected_rows(rows):
     span = xor_span(rows)
-    assert span.dtype == np.uint64 and span.size == 1 << len(rows)
-    for i, word in enumerate(span.tolist()):
+    assert type(span) is list and len(span) == 1 << len(rows)
+    for i, word in enumerate(span):
         picked = (r for j, r in enumerate(rows) if i >> j & 1)
-        assert word == functools.reduce(operator.xor, picked, 0)
+        assert type(word) is int and word == functools.reduce(operator.xor, picked, 0)
+    # The array form composes two half spans; it must keep every entry.
+    array = xor_span_array(rows)
+    assert array.dtype == np.uint64 and array.tolist() == span
 
 
 @given(ROWS)
 def test_span_of_row_differences_is_gray_order(rows):
-    span = xor_span(rows).tolist()
-    gray = xor_span([r ^ prev for r, prev in zip(rows, [0] + rows)]).tolist()
+    span = xor_span(rows)
+    gray = xor_span([r ^ prev for r, prev in zip(rows, [0] + rows)])
     assert gray == [span[i ^ (i >> 1)] for i in range(len(span))]
 
 

@@ -1,7 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import sd40
+from sd40.constructions import printed_de_matrix, printed_se_matrix
 
 SRC = Path(sd40.__file__).parent
 
@@ -67,3 +73,63 @@ def test_unused_import_check_sees_an_unused_name(tmp_path):
                       "class A:\n"
                       "    x: int = os.sep\n")
     assert _unused_imports(module) == ["m.py:3 field"]
+
+
+# Imports a module in a fresh interpreter, runs the CLI on the remaining
+# arguments if there are any, and prints the exit code and whether numpy
+# got loaded.
+_NUMPY_PROBE = """\
+import contextlib, importlib, io, sys
+importlib.import_module(sys.argv[1])
+code = None
+if sys.argv[2:]:
+    from sd40 import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[2:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def _probe_numpy(*args):
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    code, loaded = done.stdout.split()
+    return code, loaded == "True"
+
+
+def _noisy_hex(matrix):
+    return format(matrix.encode(0xABCDE) ^ 0b101 << 9, "010x")
+
+
+NUMPY_FREE = {
+    "import-sd40": ("sd40",),
+    "import-cli": ("sd40.cli",),
+    **{f"decode-{alg}-{code}": ("sd40.cli", "decode", _noisy_hex(matrix), "--algorithm", alg,
+                                "--code", code, "--verbose")
+       for code, matrix in (("DE", printed_de_matrix()), ("SE", printed_se_matrix()))
+       for alg in ("repr", "synd", "oracle")},
+    "fuzz": ("sd40.cli", "fuzz", "--trials", "200"),
+    "encode": ("sd40.cli", "encode", "0" * 20),
+    "corrupt": ("sd40.cli", "corrupt", "0" * 10),
+    "tables": ("sd40.cli", "tables"),
+    "census": ("sd40.cli", "census"),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_decoding_loads_no_numpy(name):
+    # Every table the decoders and the CLI's quick commands read has at
+    # most 2^10 entries; numpy serves only the exhaustive 2^20 checks.
+    code, loaded = _probe_numpy(*NUMPY_FREE[name])
+    assert code in ("None", "0"), code
+    assert not loaded
+
+
+def test_certify_loads_numpy(tmp_path):
+    # The control: a probe that could not see numpy would pass the test
+    # above vacuously.
+    matrix_file = tmp_path / "de.txt"
+    matrix_file.write_text(printed_de_matrix().to_text())
+    assert _probe_numpy("sd40.cli", "certify", str(matrix_file)) == ("0", True)
