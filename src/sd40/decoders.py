@@ -17,8 +17,9 @@ E10 is GF(4)-linear, so the projection search depends on the budget
 (erasure columns, max_errors) and not on the word.  Each of the 187 valid
 budgets gets one lazily built list of the projection error words inside
 it (9,592 in all), and the decoders differ only in how they search it.
-The representation decoder probes codeword membership of y + e for every
-listed e (against the enumerated table or the orbit-type expansion).  The
+The representation decoder stops at the first listed e with y + e in
+E10: two listed words differ in at most len(erasures) + 2*max_errors <= 3
+symbols and E10 has minimum distance 4, so no second e fits.  The
 syndrome decoder looks s = H conj(y)^T up in a per-budget table from
 syndrome to listed error word, H being the five GF(4)-basis rows of the
 code's generator matrix; building that table checks that no two listed
@@ -158,8 +159,12 @@ def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, .
 
 @functools.lru_cache(maxsize=None)
 def _e10_words() -> dict[int, Gf4Word]:
-    """Packed E10 codeword -> its shared Gf4Word."""
-    return {bits: Gf4Word(bits, N_COLS) for bits in e10_table().words}
+    """Packed E10 codeword -> its shared Gf4Word.  Building it checks the
+    minimum distance 4 that makes a budget's first hit its only one."""
+    table = e10_table()
+    if min(w for w in table.weight_distribution if w) < 4:
+        raise InternalInvariantError(f"{table.name} has a nonzero word of weight below 4")
+    return {bits: Gf4Word(bits, N_COLS) for bits in table.words}
 
 
 def find_closest_in_e10(
@@ -169,19 +174,23 @@ def find_closest_in_e10(
     members: frozenset[int] | None = None,
 ) -> Gf4Word | None:
     """The unique codeword within the (erasures, max_errors) budget of y,
-    or None.  Raises InternalInvariantError if two candidates fit, which
-    the budget bound 2*max_errors + len(erasures) < 4 rules out."""
+    or None.  ValueError: y is no 10-symbol projection, or the budget
+    breaks 2*max_errors + len(erasures) < 4.  InternalInvariantError: E10
+    has a nonzero word of weight below 4, or a caller's `members` set holds
+    two words inside the budget."""
     patterns = _budget_patterns(tuple(erasures), max_errors)
-    if members is None:
-        members = e10_table().word_set
-    found = members.intersection(map(packed_projection(y).__xor__, patterns))
-    if len(found) > 1:
-        raise InternalInvariantError(f"{len(found)} codewords inside budget")
-    if not found:
-        return None
-    (bits,) = found
-    word = _e10_words().get(bits)
-    return Gf4Word(bits, N_COLS) if word is None else word
+    words = _e10_words()
+    codewords = words if members is None else members
+    y = packed_projection(y)
+    for e in patterns:
+        if y ^ e in codewords:
+            bits = y ^ e
+            # E10 holds no second hit (see the module doc); a caller's set may.
+            if codewords is not words and len(members.intersection(map(y.__xor__, patterns))) > 1:
+                raise InternalInvariantError("two words of the members set inside budget")
+            word = words.get(bits)
+            return Gf4Word(bits, N_COLS) if word is None else word
+    return None
 
 
 @functools.lru_cache(maxsize=None)

@@ -49,7 +49,7 @@ class OracleTable:
 
     @functools.cached_property
     def word_set(self) -> frozenset[int]:
-        return frozenset(int(w) for w in self.words)
+        return frozenset(self.words.tolist())
 
     @functools.cached_property
     def leader_index(self) -> dict[int, int]:

@@ -126,6 +126,11 @@ def test_find_closest_examples(e10):
     assert dc.find_closest_in_e10(y_far, (), 1) is None
     with pytest.raises(ValueError):
         dc.find_closest_in_e10(y1, (1, 2), 1)
+    # E10's distance rules out a second hit, but a caller's set is checked:
+    # 0 and a weight-one word both lie inside the one-error budget of 0.
+    members = frozenset({0, Gf4Word.from_string("0000w00000").bits})
+    with pytest.raises(dc.InternalInvariantError):
+        dc.find_closest_in_e10(0, (), 1, members)
 
 
 def test_syndrome_examples(e10):
@@ -407,6 +412,24 @@ def test_budget_tables_agree_on_every_syndrome(e10):
     members = frozenset({weight_one.bits, row.bits})
     assert dc.find_closest_in_e10(0, (), 1, members) == weight_one
     assert dc.find_closest_in_e10(row.bits, (), 0, members) is e10_words[row.bits]
+
+
+def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
+    # The search stops at its first hit because E10 has no nonzero word of
+    # weight below 4.  A code table with a weight-3 word breaks that premise.
+    weights = {**e10.weight_distribution, 3: 1}
+    monkeypatch.setattr(dc, "e10_table", lambda: quaternary.CodeTable(
+        e10.name, e10.words, e10.word_set, weights))
+    dc._e10_words.cache_clear()
+    try:
+        with pytest.raises(dc.InternalInvariantError):
+            dc.find_closest_in_e10(0, (), 1)
+        with pytest.raises(dc.InternalInvariantError):
+            dc.represent_decode(0)
+    finally:
+        dc._e10_words.cache_clear()
+    monkeypatch.undo()
+    assert dc.find_closest_in_e10(0, (), 1) is dc._e10_words()[0]
 
 
 def test_budget_argument_checks():

@@ -8,8 +8,10 @@ import pytest
 
 import sd40
 from sd40.constructions import printed_de_matrix, printed_se_matrix
+from sd40.projection import parse_array_text
 
 SRC = Path(sd40.__file__).parent
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _raises_assertion_error(node):
@@ -90,12 +92,18 @@ print(code, "numpy" in sys.modules)
 """
 
 
-def _probe_numpy(*args):
+def _run_fresh(script, *args):
+    """The stdout of a script run in a fresh interpreter that imports
+    this package."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *args],
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, check=True)
-    code, loaded = done.stdout.split()
+    return done.stdout
+
+
+def _probe_numpy(*args):
+    code, loaded = _run_fresh(_NUMPY_PROBE, *args).split()
     return code, loaded == "True"
 
 
@@ -133,3 +141,30 @@ def test_certify_loads_numpy(tmp_path):
     matrix_file = tmp_path / "de.txt"
     matrix_file.write_text(printed_de_matrix().to_text())
     assert _probe_numpy("sd40.cli", "certify", str(matrix_file)) == ("0", True)
+
+
+# Decodes each CODE:HEX argument with represent_decode, prints whether each
+# decode succeeded, then how many entries each syndrome-path cache holds.
+_SYNDROME_PROBE = """\
+import sys
+from sd40 import decoders as dc
+print(*(dc.represent_decode(int(v, 16), code).ok
+        for code, v in (arg.split(":") for arg in sys.argv[1:])))
+print(*(getattr(dc, name).cache_info().currsize
+        for name in ("_syndrome_bytes", "_syndrome_table", "_syndrome_words")))
+"""
+
+
+def test_representation_decoding_builds_no_syndrome_table():
+    # The paper's two algorithms stay two: representation decoding matches
+    # codeword patterns and never computes a syndrome.  The worked examples
+    # are DE words, and they and the two codewords must decode.
+    examples = [parse_array_text((FIXTURES / f"example{k}_received.txt").read_text())
+                for k in range(1, 5)]
+    codewords = [(code, matrix.encode(0xABCDE))
+                 for code, matrix in (("DE", printed_de_matrix()), ("SE", printed_se_matrix()))]
+    words = [("DE", v) for v in examples] + codewords + [("SE", v) for v in examples]
+    args = [f"{code}:{v:010x}" for code, v in words]
+    verdicts, sizes = _run_fresh(_SYNDROME_PROBE, *args).splitlines()
+    assert verdicts.split()[:6] == ["True"] * 6
+    assert sizes.split() == ["0", "0", "0"]
