@@ -98,11 +98,12 @@ class Transcript:
             lines.append(f"case: {c.case_id}  {c.parity_split}  erasure columns: {erased}")
         lines.append(f"projection y: {y.to_string()}")
         if out.algorithm == "syndrome":
-            lines.append(f"syndrome H conj(y)^T: {dc.syndrome(y).to_string()}")
+            lines.append(f"syndrome H conj(y)^T: {Gf4Word(dc.syndrome(y), 5).to_string()}")
             if out.ok:
-                lines.append(f"error word e: {(y + out.corrected_projection).to_string()}")
+                e = Gf4Word(y.bits ^ out.corrected_projection, N_COLS)
+                lines.append(f"error word e: {e.to_string()}")
         if out.ok:
-            y2 = out.corrected_projection
+            y2 = Gf4Word(out.corrected_projection, N_COLS)
             lines.append(f"corrected projection y': {y2.to_string()}")
             lines += _array_block(out.codeword, y2, "y'")
             flips = " ".join(map(str, out.flipped_bits)) or "none"
@@ -130,7 +131,7 @@ def _oracle_decode(v: int, code: str) -> dc.DecodeOutcome:
     case = dc.classify_case(v)
     if cw is None:
         return dc._failure("oracle", case)
-    return dc.DecodeOutcome("oracle", True, cw, pj.proj(cw), pj.flip_positions(v ^ cw), case)
+    return dc.DecodeOutcome("oracle", True, cw, pj.proj_bits(cw), pj.flip_positions(v ^ cw), case)
 
 
 def _decoders() -> dict:
@@ -160,11 +161,10 @@ def cmd_encode(args) -> int:
 def cmd_corrupt(args) -> int:
     word = parse_word(args.word)
     if args.flip is not None:
-        positions = []
-        for part in args.flip.split(","):
-            part = part.strip()
-            if part:
-                positions.append(int(part))
+        parts = [part.strip() for part in args.flip.split(",")]
+        if any(part and not (part.isascii() and part.isdigit()) for part in parts):
+            raise ValueError(f"positions must be comma-separated decimals: {args.flip!r}")
+        positions = [int(part) for part in parts if part]
         if len(set(positions)) != len(positions):
             raise ValueError("positions must be distinct")
         if any(not 1 <= p <= N_BITS for p in positions):

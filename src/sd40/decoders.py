@@ -48,16 +48,10 @@ column parity (DE, projection O) or is even (SE, projection E), so v + c
 meets the top-row rule exactly when v does.  A success is the unique
 codeword within three flips, so it moves by c and the flips stay put.
 
-Between the stages a projection travels as its packed int, and a warm
-decode builds no Gf4Word: the words it hands out are interned.  The
-1,024 syndromes, the error words of the per-budget syndrome tables and
-the 1,024 E10 codewords each exist once, built lazily, and `syndrome`,
-`solve_syndrome` and `find_closest_in_e10` return those objects (a
-caller's `members=` set may hold words outside E10; such a word is built
-afresh).  A declared failure is likewise one shared DecodeOutcome per
-(algorithm, case), at most 2 x 353 of them.  Sharing is safe because
-every shared object is a frozen dataclass over ints, tuples and frozen
-CaseLabels, so no caller can alter what another one receives.
+Every stage hands out projections, syndromes and error words as packed
+ints (and takes a Gf4Word or its bits), so a decode builds no Gf4Word.
+A declared failure is one shared frozen DecodeOutcome per (algorithm,
+case), at most 2 x 353.
 """
 
 from __future__ import annotations
@@ -66,11 +60,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf4 import CONJ, MUL, Gf4Word, InternalInvariantError, byte_tables, xor_span
+from .gf4 import CONJ, Gf4Word, InternalInvariantError, byte_tables, packed, xor_span
 # parity_profile is not called here but stays a name of this module:
 # perfbench/spans.py wraps it along with the decoder stages.
-from .projection import (N_BITS, N_COLS, LiftError, lift, packed_projection,
-                         parity_profile, parity_vector, proj_bits)  # noqa: F401
+from .projection import (N_BITS, N_COLS, LiftError, lift, parity_profile,  # noqa: F401
+                         parity_vector, proj_bits)
 from .quaternary import e10_matrix, e10_table, orbit_lookup
 
 FAILURE_REASON = "more than three errors occurred"
@@ -126,7 +120,7 @@ class DecodeOutcome:
     algorithm: str
     ok: bool
     codeword: int | None
-    corrected_projection: Gf4Word | None
+    corrected_projection: int | None  # packed
     flipped_bits: tuple[int, ...]
     case: CaseLabel | None
     reason: str | None = None
@@ -158,13 +152,13 @@ def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, .
 
 
 @functools.lru_cache(maxsize=None)
-def _e10_words() -> dict[int, Gf4Word]:
-    """Packed E10 codeword -> its shared Gf4Word.  Building it checks the
-    minimum distance 4 that makes a budget's first hit its only one."""
+def _e10_words() -> frozenset[int]:
+    """The packed E10 codewords.  Building the set checks the minimum
+    distance 4 that makes a budget's first hit its only one."""
     table = e10_table()
     if min(w for w in table.weight_distribution if w) < 4:
         raise InternalInvariantError(f"{table.name} has a nonzero word of weight below 4")
-    return {bits: Gf4Word(bits, N_COLS) for bits in table.words}
+    return table.word_set
 
 
 def find_closest_in_e10(
@@ -172,24 +166,21 @@ def find_closest_in_e10(
     erasures: tuple[int, ...] = (),
     max_errors: int = 0,
     members: frozenset[int] | None = None,
-) -> Gf4Word | None:
+) -> int | None:
     """The unique codeword within the (erasures, max_errors) budget of y,
     or None.  ValueError: y is no 10-symbol projection, or the budget
     breaks 2*max_errors + len(erasures) < 4.  InternalInvariantError: E10
     has a nonzero word of weight below 4, or a caller's `members` set holds
     two words inside the budget."""
     patterns = _budget_patterns(tuple(erasures), max_errors)
-    words = _e10_words()
-    codewords = words if members is None else members
-    y = packed_projection(y)
+    codewords = _e10_words() if members is None else members
+    y = packed(y, N_COLS)
     for e in patterns:
         if y ^ e in codewords:
-            bits = y ^ e
             # E10 holds no second hit (see the module doc); a caller's set may.
-            if codewords is not words and len(members.intersection(map(y.__xor__, patterns))) > 1:
+            if members is not None and len(members.intersection(map(y.__xor__, patterns))) > 1:
                 raise InternalInvariantError("two words of the members set inside budget")
-            word = words.get(bits)
-            return Gf4Word(bits, N_COLS) if word is None else word
+            return y ^ e
     return None
 
 
@@ -220,30 +211,14 @@ def h_column(col: int) -> Gf4Word:
 
 
 @functools.lru_cache(maxsize=None)
-def _syndrome_contrib() -> tuple[tuple[int, ...], ...]:
-    """contrib[pos][val]: packed 5-symbol syndrome of value val at 1-based
-    position pos+1, i.e. conj(val) times the corresponding column of H."""
-    h = parity_check_matrix()
-    table = []
-    for pos in range(N_COLS):
-        per_val = []
-        for val in range(4):
-            packed = 0
-            for r in range(5):
-                packed |= MUL[CONJ[val]][h[r][pos]] << (2 * r)
-            per_val.append(packed)
-        table.append(tuple(per_val))
-    return tuple(table)
-
-
-@functools.lru_cache(maxsize=None)
 def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
     """Byte tables: entry b of table k is the syndrome of the symbols at
     0-based positions 4k..4k+3 packed in byte b of a word (the last table
     covers positions 8 and 9 only).  The syndrome is GF(2)-linear, so a
-    word's is the XOR of its three byte syndromes."""
-    contrib = _syndrome_contrib()
-    return byte_tables([contrib[pos][val] for pos in range(N_COLS) for val in (1, 2)])
+    word's is the XOR of its three byte syndromes; value val at column c
+    contributes conj(val) times column c of H."""
+    return byte_tables([h_column(c).scaled(CONJ[val]).bits
+                        for c in range(1, N_COLS + 1) for val in (1, 2)])
 
 
 def _syndrome_bits(y: int) -> int:
@@ -252,48 +227,34 @@ def _syndrome_bits(y: int) -> int:
     return s0[y & 0xFF] ^ s1[(y >> 8) & 0xFF] ^ s2[y >> 16]
 
 
-@functools.lru_cache(maxsize=None)
-def _syndrome_words() -> tuple[Gf4Word, ...]:
-    """All 1,024 syndromes as shared 5-symbol words, indexed by bits."""
-    return tuple(Gf4Word(s, 5) for s in range(1 << 10))
-
-
-def syndrome(y: Gf4Word | int) -> Gf4Word:
-    """H conj(y)^T as a 5-symbol word; zero exactly on codewords."""
-    return _syndrome_words()[_syndrome_bits(packed_projection(y))]
+def syndrome(y: Gf4Word | int) -> int:
+    """H conj(y)^T as a packed 5-symbol word; zero exactly on codewords."""
+    return _syndrome_bits(packed(y, N_COLS))
 
 
 @functools.lru_cache(maxsize=None)
-def _error_word(e: int) -> Gf4Word:
-    """The shared Gf4Word of a packed error word, whichever budgets list it."""
-    return Gf4Word(e, N_COLS)
-
-
-@functools.lru_cache(maxsize=None)
-def _syndrome_table(erasures: tuple[int, ...], max_errors: int) -> dict[int, Gf4Word]:
-    """Packed syndrome -> the error word inside the budget that has it."""
-    table: dict[int, Gf4Word] = {}
+def _syndrome_table(erasures: tuple[int, ...], max_errors: int) -> dict[int, int]:
+    """Packed syndrome -> the packed error word inside the budget that has it."""
+    table: dict[int, int] = {}
     for e in _budget_patterns(erasures, max_errors):
         s = _syndrome_bits(e)
         if s in table:
             raise InternalInvariantError(
-                f"error words {table[s].bits:#x} and {e:#x} share syndrome {s:#x}"
+                f"error words {table[s]:#x} and {e:#x} share syndrome {s:#x}"
             )
-        table[s] = _error_word(e)
+        table[s] = e
     return table
 
 
 def solve_syndrome(
-    s: Gf4Word,
+    s: Gf4Word | int,
     erasures: tuple[int, ...] = (),
     max_errors: int = 0,
-) -> Gf4Word | None:
-    """The unique error word e with s = H conj(e)^T supported on the
+) -> int | None:
+    """The unique packed error word e with s = H conj(e)^T supported on the
     erasure columns plus at most max_errors further positions, or None.
     An erased column may carry no projection error."""
-    if s.n != 5:
-        raise ValueError(f"{s!r} is not a 5-symbol syndrome")
-    return _syndrome_table(tuple(erasures), max_errors).get(s.bits)
+    return _syndrome_table(tuple(erasures), max_errors).get(packed(s, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +283,7 @@ def _decode(v: int, algorithm: str, code: str,
     else:
         err = solve_syndrome(syndrome(y), case.erasure_columns, case.max_errors)
         # y + e has syndrome zero, so it is an E10 codeword.
-        corrected = None if err is None else _e10_words()[y ^ err.bits]
+        corrected = None if err is None else y ^ err
     if corrected is None:
         return _failure(algorithm, case)
     # Projection O ties the top row to the column parity; projection E

@@ -188,6 +188,17 @@ class Gf4Word:
         return f"Gf4Word({self.to_string()!r})"
 
 
+def packed(word: Gf4Word | int, n: int) -> int:
+    """The packed bits of an n-symbol word given as a Gf4Word or as its
+    bits; anything but n symbols is a ValueError."""
+    if isinstance(word, Gf4Word):
+        if word.n == n:
+            return word.bits
+    elif 0 <= word < 1 << (2 * n):
+        return word
+    raise ValueError(f"{word!r} is not a packed {n}-symbol word")
+
+
 def hermitian_inner(x: Gf4Word, y: Gf4Word) -> int:
     """Hermitian inner product sum_i x_i * conj(y_i), in GF(4)."""
     if x.n != y.n:

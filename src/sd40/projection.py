@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf4 import Gf4Word, InternalInvariantError, byte_tables, nonzero_mask, xor_span
+from .gf4 import Gf4Word, InternalInvariantError, byte_tables, nonzero_mask, packed, xor_span
 
 N_BITS = 40
 N_COLS = 10
@@ -67,17 +67,6 @@ def parity_vector(v: int) -> int:
     p0, p1, p2, p3, p4 = _PARITY_BYTES
     return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
-
-
-def packed_projection(y: Gf4Word | int) -> int:
-    """The packed form of a projection given as a word or as its bits;
-    anything but 10 symbols is a ValueError."""
-    if isinstance(y, Gf4Word):
-        if y.n == N_COLS:
-            return y.bits
-    elif 0 <= y < 1 << (2 * N_COLS):
-        return y
-    raise ValueError(f"{y!r} is not a packed {N_COLS}-symbol projection")
 
 
 def proj(v: int) -> Gf4Word:
@@ -171,11 +160,14 @@ def lift(
     swap fixes it (complementing a column always toggles its top bit).
 
     Returns the rewritten word and the 1-based flipped coordinates.
-    Raises LiftError when no rewrite exists within max_flips.
+    Raises LiftError when no rewrite exists within max_flips, and
+    ValueError when a parity is not 0 or 1.
     """
     if v >> N_BITS:  # -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    target = packed_projection(y_corrected)
+    if column_parity not in (0, 1) or top_row_parity not in (0, 1):
+        raise ValueError(f"parities must be 0 or 1, got {column_parity} and {top_row_parity}")
+    target = packed(y_corrected, N_COLS)
     wrong_value = proj_bits(v) ^ target
     wrong_parity = parity_vector(v) ^ ((1 << N_COLS) - 1 if column_parity else 0)
     # Bit 2i is set when column i+1 must be rewritten.

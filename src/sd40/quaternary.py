@@ -17,7 +17,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .gf4 import MUL, Gf4Word, InternalInvariantError, trace_inner, word_weight, xor_span
+from .gf4 import MUL, Gf4Word, InternalInvariantError, packed, trace_inner, word_weight, xor_span
 
 N = 10
 CODE_SIZE = 1 << N  # 2^10 GF(2)-linear combinations
@@ -241,15 +241,14 @@ def orbit_lookup() -> dict[int, int]:
     return lookup
 
 
-def classify_type(word: Gf4Word) -> OrbitType:
+def classify_type(word: Gf4Word | int) -> OrbitType:
     """The unique type whose orbit contains the given nonzero codeword."""
-    if word.n != N:
-        raise ValueError(f"{word!r} is not a {N}-symbol word")
-    if word.bits == 0:
+    bits = packed(word, N)
+    if bits == 0:
         raise ValueError("the zero word has no type")
-    tid = orbit_lookup().get(word.bits)
+    tid = orbit_lookup().get(bits)
     if tid is None:
-        raise ValueError(f"{word.to_string()} is not a codeword of E10")
+        raise ValueError(f"{Gf4Word(bits, N).to_string()} is not a codeword of E10")
     return ORBIT_TYPES[tid - 1]
 
 

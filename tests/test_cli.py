@@ -108,6 +108,15 @@ def test_corrupt_positions(capsys):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("flip", ["1_0", " +3", "\u0663"])
+def test_corrupt_positions_are_ascii_decimals(capsys, flip):
+    # int() reads these as 10, 3 and 3 (an Arabic-Indic digit); a position
+    # is plain ASCII digits, as parse_word demands of a word.
+    code, out, err = run(capsys, "corrupt", "0" * 40, "--flip", flip)
+    assert code == cli.EXIT_USAGE
+    assert out == "" and "error" in err
+
+
 def test_corrupt_example4_bold_bits(capsys):
     # Flipping the three corrected positions of example 4 reproduces its
     # received word.
@@ -162,6 +171,18 @@ def test_verbose_oracle_failure(capsys):
     code, repr_out, _ = run(capsys, "decode", v, "--verbose")
     assert code == cli.EXIT_FAILURE
     assert out == _as_oracle(repr_out)
+
+
+def test_verbose_syndrome_failure(capsys):
+    # The word of test_verbose_oracle_failure: the transcript shows the
+    # syndrome, but no error word was found.
+    v = word_str(printed_de_matrix().encode(0xBEEF5) ^ d4_block(4))
+    code, out, _ = run(capsys, "decode", v, "--algorithm", "synd", "--verbose")
+    assert code == cli.EXIT_FAILURE
+    lines = out.splitlines()
+    assert any(line.startswith("syndrome H conj(y)^T: ") for line in lines)
+    assert not any(line.startswith("error word e:") for line in lines)
+    assert lines[-1] == "decoded: more than three errors occurred"
 
 
 def test_oracle_commands_leave_the_codeword_array_unbuilt(capsys):

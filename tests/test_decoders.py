@@ -51,13 +51,13 @@ def _decoders():
 def test_golden_examples(k):
     array, yprime, syn, flips, case_id = EXAMPLES[k]
     v = parse_array_text(array)
-    assert dc.syndrome(proj(v)).to_string() == syn
+    assert dc.syndrome(proj(v)) == Gf4Word.from_string(syn).bits
     expected_word = parse_array_text(CORRECTED_ARRAYS[k])
     for decode in _decoders():
         out = decode(v)
         assert out.ok
         assert out.case.case_id == case_id
-        assert out.corrected_projection.to_string() == yprime
+        assert out.corrected_projection == Gf4Word.from_string(yprime).bits
         assert out.flipped_bits == flips
         assert out.codeword == expected_word
 
@@ -116,11 +116,11 @@ def test_case_budgets():
 
 def test_find_closest_examples(e10):
     y1 = Gf4Word.from_string("10101001ww")
-    assert dc.find_closest_in_e10(y1, (), 1).to_string() == "10101001Ww"
+    assert dc.find_closest_in_e10(y1, (), 1) == Gf4Word.from_string("10101001Ww").bits
     row = e10_matrix().rows[4]
-    assert dc.find_closest_in_e10(row, (), 0) == row
+    assert dc.find_closest_in_e10(row, (), 0) == row.bits
     y3 = Gf4Word.from_string("wwWWww1100")
-    assert dc.find_closest_in_e10(y3, (5, 6), 0).to_string() == "wwWW001100"
+    assert dc.find_closest_in_e10(y3, (5, 6), 0) == Gf4Word.from_string("wwWW001100").bits
     # Distance 2 from the code with no erasures: nothing inside the budget.
     y_far = Gf4Word.from_string("WW11000000")
     assert dc.find_closest_in_e10(y_far, (), 1) is None
@@ -134,10 +134,10 @@ def test_find_closest_examples(e10):
 
 
 def test_syndrome_examples(e10):
-    assert dc.syndrome(Gf4Word.from_string("10101001ww")).to_string() == "0001w"
-    assert dc.syndrome(Gf4Word.from_string("wwWWww1100")).to_string() == "0000W"
+    assert dc.syndrome(Gf4Word.from_string("10101001ww")) == Gf4Word.from_string("0001w").bits
+    assert dc.syndrome(Gf4Word.from_string("wwWWww1100")) == Gf4Word.from_string("0000W").bits
     for bits in e10.words:
-        assert dc.syndrome(Gf4Word(bits, 10)).bits == 0
+        assert dc.syndrome(Gf4Word(bits, 10)) == 0
 
 
 def test_syndrome_byte_tables_match_h():
@@ -161,12 +161,12 @@ def test_parity_check_matrix_columns():
 
 def test_solve_syndrome_examples():
     s1 = Gf4Word.from_string("0001w", 5)
-    assert dc.solve_syndrome(s1, (), 1).to_string() == "0000000010"
+    assert dc.solve_syndrome(s1, (), 1) == Gf4Word.from_string("0000000010").bits
     s2 = Gf4Word.from_string("wW101", 5)
-    assert dc.solve_syndrome(s2, (5,), 1).to_string() == "000W100000"
+    assert dc.solve_syndrome(s2, (5,), 1) == Gf4Word.from_string("000W100000").bits
     s4 = Gf4Word.from_string("0000w", 5)
-    assert dc.solve_syndrome(s4, (2, 5, 6), 0).to_string() == "0000WW0000"
-    assert dc.solve_syndrome(Gf4Word(0, 5), (), 1).bits == 0
+    assert dc.solve_syndrome(s4, (2, 5, 6), 0) == Gf4Word.from_string("0000WW0000").bits
+    assert dc.solve_syndrome(Gf4Word(0, 5), (), 1) == 0
     # Two-column syndrome with a no-erasure budget is unsolvable.
     two = dc.syndrome(Gf4Word.from_string("1w00000000"))
     assert dc.solve_syndrome(two, (), 1) is None
@@ -374,18 +374,16 @@ def test_budget_tables_agree_on_every_syndrome(e10):
     # One received projection per syndrome coset: every y is a codeword
     # plus one of these, and both searches commute with adding codewords,
     # so agreeing here means agreeing on all 2^20 projections.  The packed
-    # int form of each projection must give the same shared words.
+    # int form of each projection must give the same words.
     reps = {}
     for y in range(1 << 20):
         s = dc.syndrome(Gf4Word(y, 10))
-        assert dc.syndrome(y) is s
-        reps.setdefault(s.bits, y)
+        assert dc.syndrome(y) == s
+        reps.setdefault(s, y)
         if len(reps) == 1024:
             break
     assert len(reps) == 1024
-    assert dc._syndrome_words() == tuple(Gf4Word(s, 5) for s in range(1024))
-    e10_words = dc._e10_words()
-    assert e10_words == {bits: Gf4Word(bits, 10) for bits in e10.words}
+    assert dc._e10_words() == e10.word_set
     orbit = dc.orbit_members()
     budgets = list(_valid_budgets())
     assert len(budgets) == 187
@@ -393,25 +391,25 @@ def test_budget_tables_agree_on_every_syndrome(e10):
     for erasures, max_errors in budgets:
         patterns = dc._budget_patterns(erasures, max_errors)
         assert dc._syndrome_table(erasures, max_errors) == {
-            dc.syndrome(e).bits: Gf4Word(e, 10) for e in patterns}
+            dc.syndrome(e): e for e in patterns}
         for s, y in reps.items():
             closest = dc.find_closest_in_e10(Gf4Word(y, 10), erasures, max_errors)
-            assert dc.find_closest_in_e10(y, erasures, max_errors) is closest
-            assert dc.find_closest_in_e10(y, erasures, max_errors, orbit) is closest
+            assert dc.find_closest_in_e10(y, erasures, max_errors) == closest
+            assert dc.find_closest_in_e10(y, erasures, max_errors, orbit) == closest
             err = dc.solve_syndrome(Gf4Word(s, 5), erasures, max_errors)
-            assert dc.solve_syndrome(dc.syndrome(y), erasures, max_errors) is err
+            assert dc.solve_syndrome(dc.syndrome(y), erasures, max_errors) == err
             if closest is None:
                 assert err is None, (erasures, max_errors, s)
             else:
-                assert closest.bits == y ^ err.bits, (erasures, max_errors, s)
-                assert closest is e10_words[closest.bits]
-    # A caller's membership set may hold words outside E10: those come
-    # back as new words, the E10 ones as the shared words.
+                assert closest == y ^ err, (erasures, max_errors, s)
+                assert closest in e10.word_set
+    # A caller's membership set may hold words outside E10, and those come
+    # back like the E10 ones.
     weight_one = Gf4Word.from_string("0000w00000")
     row = e10_matrix().rows[0]
     members = frozenset({weight_one.bits, row.bits})
-    assert dc.find_closest_in_e10(0, (), 1, members) == weight_one
-    assert dc.find_closest_in_e10(row.bits, (), 0, members) is e10_words[row.bits]
+    assert dc.find_closest_in_e10(0, (), 1, members) == weight_one.bits
+    assert dc.find_closest_in_e10(row.bits, (), 0, members) == row.bits
 
 
 def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
@@ -429,7 +427,7 @@ def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
     finally:
         dc._e10_words.cache_clear()
     monkeypatch.undo()
-    assert dc.find_closest_in_e10(0, (), 1) is dc._e10_words()[0]
+    assert dc.find_closest_in_e10(0, (), 1) == 0
 
 
 def test_budget_argument_checks():
@@ -440,7 +438,7 @@ def test_budget_argument_checks():
         with pytest.raises(ValueError):
             dc.solve_syndrome(Gf4Word(0, 5), erasures, max_errors)
     # A list of erasure columns is accepted like a tuple.
-    assert dc.find_closest_in_e10(y, [3, 7], 0) == y
+    assert dc.find_closest_in_e10(y, [3, 7], 0) == y.bits
 
 
 @pytest.mark.parametrize("y", [-1, 1 << 20, 1 << 24])
@@ -452,22 +450,30 @@ def test_projection_domain(y):
     with pytest.raises(ValueError):
         dc.syndrome(Gf4Word(y, 10))
     top = (1 << 20) - 1
-    assert dc.syndrome(top) is dc.syndrome(Gf4Word(top, 10))
+    assert dc.syndrome(top) == dc.syndrome(Gf4Word(top, 10))
 
 
-# A stage takes a 10-symbol projection or a 5-symbol syndrome, and a word
-# of another length is an error, not a shorter or longer word read as one.
+# A stage takes a 10-symbol projection or a 5-symbol syndrome, as a word
+# or as its bits, and a word of another length is an error, not a shorter
+# or longer word read as one.  gf4.packed makes that check for every stage.
 WRONG_LENGTH = {
     "syndrome-1": (dc.syndrome, Gf4Word.from_string("1")),
     "syndrome-11": (dc.syndrome, Gf4Word(0, 11)),
     "solve_syndrome-10": (dc.solve_syndrome, Gf4Word(1, 10), (), 1),
     "solve_syndrome-4": (dc.solve_syndrome, Gf4Word(0, 4)),
+    "solve_syndrome-int": (dc.solve_syndrome, 1 << 10),
     "find_closest_in_e10-5": (dc.find_closest_in_e10, Gf4Word.from_string("11110")),
+    "find_closest_in_e10-int": (dc.find_closest_in_e10, 1 << 20),
     "lift-3": (lift, 0, Gf4Word(0, 3), 0, 0),
     "lift-11": (lift, 0, Gf4Word(0, 11), 0, 0),
     "lift-int": (lift, 0, 1 << 20, 0, 0),
     # The bits of an E10 codeword, read as 11 symbols, are no codeword.
     "classify_type-11": (classify_type, Gf4Word(e10_matrix().rows[0].bits, 11)),
+    "classify_type-int": (classify_type, 1 << 20),
+    "packed-5-word": (gf4.packed, Gf4Word(0, 10), 5),
+    "packed-5-int": (gf4.packed, 1 << 10, 5),
+    "packed-10-word": (gf4.packed, Gf4Word(0, 5), 10),
+    "packed-10-int": (gf4.packed, 1 << 20, 10),
 }
 
 

@@ -18,6 +18,7 @@ from sd40.gf4 import (
     conj,
     hermitian_inner,
     mul,
+    packed,
     trace,
     trace_inner,
     word_scale,
@@ -144,6 +145,16 @@ def test_word_bits_fit_its_length(bits, n):
     # compare unequal to it.
     with pytest.raises(ValueError):
         Gf4Word(bits, n)
+
+
+def test_packed_takes_a_word_or_its_bits():
+    # Out-of-range and wrong-length cases are in test_decoders' WRONG_LENGTH.
+    for n in (5, 10):
+        top = (1 << 2 * n) - 1
+        assert packed(Gf4Word(top, n), n) == packed(top, n) == top
+        assert packed(Gf4Word(0, n), n) == packed(0, n) == 0
+        with pytest.raises(ValueError, match=f"{n}-symbol"):
+            packed(-1, n)
 
 
 def test_word_range_edges():

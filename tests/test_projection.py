@@ -255,6 +255,12 @@ def test_lift_budget_exceeded():
         lift(v, proj(v), p.majority_parity, p.majority_parity)
 
 
+@pytest.mark.parametrize("column_parity,top_row_parity", [(2, 0), (0, 2), (-1, 0)])
+def test_lift_rejects_parities_other_than_0_or_1(column_parity, top_row_parity):
+    with pytest.raises(ValueError, match="parities"):
+        lift(0, 0, column_parity, top_row_parity)
+
+
 def test_array_text_roundtrip():
     rng = random.Random(3)
     for _ in range(200):
