@@ -29,7 +29,6 @@ from .gf4 import Gf4Word, add, conj, hermitian_inner, mul, trace, trace_inner
 from .oracle import OracleTable, build_oracle, indexed_decode, oracle_decode
 from .projection import (
     LiftError,
-    ParityProfile,
     has_projection_e,
     has_projection_o,
     lift,

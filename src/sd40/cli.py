@@ -53,6 +53,8 @@ def _flip_weight(option: str, weight: int) -> int:
 
 
 def _matrix_for(code: str) -> cn.BinaryGeneratorMatrix:
+    if code not in ("DE", "SE"):
+        raise ValueError(f"code must be DE or SE, got {code!r}")
     return cn.printed_de_matrix() if code == "DE" else cn.printed_se_matrix()
 
 
@@ -86,9 +88,9 @@ class Transcript:
             f"received: {format_word(v)}",
         ]
         lines += _array_block(v, y, "y")
-        prof = pj.parity_profile(v)
-        par = "".join("o" if p else "e" for p in prof.column_parities)
-        top = "o" if prof.top_row_parity else "e"
+        parities = pj.parity_profile(v)
+        par = "".join("eo"[(parities >> i) & 1] for i in range(N_COLS))
+        top = "eo"[(v & pj.TOP_ROW_MASK).bit_count() & 1]
         lines.append(f"column parities: {par}  top row: {top}")
         if out.case is None:
             lines.append("case: none (four or more minority columns)")

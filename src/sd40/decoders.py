@@ -61,10 +61,7 @@ import itertools
 from dataclasses import dataclass
 
 from .gf4 import CONJ, Gf4Word, InternalInvariantError, byte_tables, packed, xor_span
-# parity_profile is not called here but stays a name of this module:
-# perfbench/spans.py wraps it along with the decoder stages.
-from .projection import (N_BITS, N_COLS, LiftError, lift, parity_profile,  # noqa: F401
-                         parity_vector, proj_bits)
+from .projection import N_COLS, LiftError, lift, parity_profile, proj_bits
 from .quaternary import e10_matrix, e10_table, orbit_lookup
 
 FAILURE_REASON = "more than three errors occurred"
@@ -106,11 +103,9 @@ _CASES = _case_table()
 
 
 def classify_case(v: int) -> CaseLabel | None:
-    """Map the column parities to a case, or None when four or more
-    columns disagree with the majority (undecodable)."""
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    return _CASES[parity_vector(v)]
+    """The case of the column parities of v, or None when four or more
+    columns disagree with the majority.  ValueError: v is no 40-bit word."""
+    return _CASES[parity_profile(v)]
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,6 @@ into the array with a forced number of bit flips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gf4 import Gf4Word, InternalInvariantError, byte_tables, nonzero_mask, packed, xor_span
 
 N_BITS = 40
@@ -50,6 +48,8 @@ class LiftError(Exception):
 
 def column_nibble(v: int, col: int) -> int:
     """Column col (1-based) of the array as a 4-bit value, row 0 on top."""
+    if not 1 <= col <= N_COLS:
+        raise ValueError(f"column must lie in 1..{N_COLS}, got {col}")
     return (v >> (4 * (N_COLS - col))) & 0xF
 
 
@@ -61,9 +61,10 @@ def proj_bits(v: int) -> int:
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
 
-def parity_vector(v: int) -> int:
-    """Column parities; bit c-1 is 1 when column c is odd.  v must lie in
-    [0, 2^40): any other int is read by its low 40 bits, silently."""
+def parity_profile(v: int) -> int:
+    """Column parities of a 40-bit word; bit c-1 is 1 when column c is odd."""
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     p0, p1, p2, p3, p4 = _PARITY_BYTES
     return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
@@ -78,44 +79,22 @@ def proj(v: int) -> Gf4Word:
 
 def candidates_for(value: int, parity: int) -> tuple[int, int]:
     """The two column nibbles with the given projection value and parity."""
+    if value not in (0, 1, 2, 3):
+        raise ValueError(f"symbol must lie in 0..3, got {value}")
+    if parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity}")
     pats = COLUMN_PATTERNS[value]
     return (pats[0], pats[1]) if parity == 0 else (pats[2], pats[3])
-
-
-@dataclass(frozen=True)
-class ParityProfile:
-    """Column and top-row parities of an array (1 = odd)."""
-
-    column_parities: tuple[int, ...]
-    top_row_parity: int
-    majority_parity: int
-    minority_columns: tuple[int, ...]  # 1-based
-
-    @property
-    def decodable(self) -> bool:
-        return len(self.minority_columns) <= 3
-
-
-def parity_profile(v: int) -> ParityProfile:
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    parities = parity_vector(v)
-    cols = tuple((parities >> i) & 1 for i in range(N_COLS))
-    odd = parities.bit_count()
-    # Ties (5 odd / 5 even) are undecodable either way; call even majority.
-    majority = 1 if odd > N_COLS - odd else 0
-    minority = tuple(c for c in range(1, N_COLS + 1) if cols[c - 1] != majority)
-    top = (v & TOP_ROW_MASK).bit_count() & 1
-    return ParityProfile(cols, top, majority, minority)
 
 
 def _has_projection(v: int, code_words: frozenset[int], top_follows_columns: bool) -> bool:
     """Projection membership: projection in the code, uniform column
     parity, and a top-row parity equal to the column parity when
     top_follows_columns (projection O), even otherwise (projection E)."""
-    p = parity_profile(v)
-    top = p.majority_parity if top_follows_columns else 0
-    return not p.minority_columns and p.top_row_parity == top and proj_bits(v) in code_words
+    parities = parity_profile(v)
+    top = parities & 1 if top_follows_columns else 0
+    return (parities in (0, (1 << N_COLS) - 1)
+            and (v & TOP_ROW_MASK).bit_count() & 1 == top and proj_bits(v) in code_words)
 
 
 def has_projection_o(v: int, code_words: frozenset[int]) -> bool:
@@ -161,15 +140,14 @@ def lift(
 
     Returns the rewritten word and the 1-based flipped coordinates.
     Raises LiftError when no rewrite exists within max_flips, and
-    ValueError when a parity is not 0 or 1.
+    ValueError when v is not a 40-bit word or a parity is not 0 or 1.
     """
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
+    parities = parity_profile(v)
     if column_parity not in (0, 1) or top_row_parity not in (0, 1):
         raise ValueError(f"parities must be 0 or 1, got {column_parity} and {top_row_parity}")
     target = packed(y_corrected, N_COLS)
     wrong_value = proj_bits(v) ^ target
-    wrong_parity = parity_vector(v) ^ ((1 << N_COLS) - 1 if column_parity else 0)
+    wrong_parity = parities ^ ((1 << N_COLS) - 1 if column_parity else 0)
     # Bit 2i is set when column i+1 must be rewritten.
     todo = ((wrong_value | (wrong_value >> 1)) & _LOW_BITS) | _SPREAD[wrong_parity]
     parity_key = column_parity << 6

@@ -330,3 +330,9 @@ def test_decode_transcript_holds_the_outcome():
     assert t.outcome == cli.dc.syndrome_decode(v, "DE")
     with pytest.raises(KeyError):
         cli.decode_transcript(v, "scan", "DE")
+
+
+@pytest.mark.parametrize("algorithm", ["repr", "synd", "oracle"])
+def test_decode_transcript_rejects_an_unknown_code(algorithm):
+    with pytest.raises(ValueError, match="code must be DE or SE, got 'XX'"):
+        cli.decode_transcript(0, algorithm, "XX")

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +12,8 @@ from sd40 import gf4, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.gf4 import Gf4Word, xor_span
 from sd40.oracle import indexed_decode
-from sd40.projection import (has_projection_e, has_projection_o, lift, parity_profile,
-                             parse_array_text, proj)
+from sd40.projection import (_LIFT_PICKS, has_projection_e, has_projection_o, lift,
+                             parity_profile, parse_array_text, proj, proj_bits)
 from sd40.quaternary import classify_type, e10_matrix
 
 # The four worked examples: received array, corrected projection,
@@ -90,14 +92,19 @@ def test_case_table_matches_parity_profile():
     for parities in range(1 << 10):
         # One bottom-row bit in every odd column.
         v = int("".join(f"000{(parities >> i) & 1}" for i in range(10)), 2)
-        profile = parity_profile(v)
+        assert parity_profile(v) == parities
         case = dc.classify_case(v)
-        minority = profile.minority_columns
+        # Reference: the majority parity holds in more than half of the
+        # columns (a 5-5 tie leaves five minority columns either way), and
+        # the other columns are the minority.
+        odd = parities.bit_count()
+        majority = 1 if odd > 10 - odd else 0
+        minority = tuple(c for c in range(1, 11) if (parities >> (c - 1)) & 1 != majority)
         if len(minority) > 3:
             assert case is None
             continue
         assert case.case_id == ("I", "II", "III", "IV")[len(minority)]
-        assert case.majority_parity == profile.majority_parity
+        assert case.majority_parity == majority
         assert case.erasure_columns == minority
         assert case.max_errors == (1 if len(minority) <= 1 else 0)
 
@@ -310,6 +317,42 @@ def test_decoders_commute_with_codeword_translation(code):
                 assert b.codeword == a.codeword ^ c
                 corrected += 1
     assert corrected > 20_000
+
+
+def test_case_table_is_invariant_under_complementing_the_parities():
+    # Exhaustive check of the sd40.decoders docstring sentence: "Every
+    # codeword has uniform column parity, so c keeps every column parity or
+    # flips them all; the minority columns, and with them the case and its
+    # budget, stay put."
+    for parities in range(1 << 10):
+        case, flipped = dc._CASES[parities], dc._CASES[parities ^ 0x3FF]
+        if case is None:
+            assert flipped is None, parities
+            continue
+        assert (flipped.case_id, flipped.erasure_columns, flipped.max_errors) == (
+            case.case_id, case.erasure_columns, case.max_errors), parities
+        assert flipped.majority_parity == 1 - case.majority_parity
+
+
+def test_lift_picks_move_with_a_translating_column():
+    # Exhaustive check of the sd40.decoders docstring sentence: "Within a
+    # column the nibble -> (symbol, parity) map is GF(2)-linear with kernel
+    # {0000, 1111}, so the two candidate nibbles and their distances move
+    # with c's column and the flip count is unchanged: a distance-2 tie
+    # picks one of two complements".  Column t of a codeword translates a
+    # column nibble, the symbol it must take and the parity it must have.
+    moved = complemented = 0
+    for nibble, t, value, parity in itertools.product(range(16), range(16), range(4), (0, 1)):
+        pick, dist = _LIFT_PICKS[nibble | value << 4 | parity << 6]
+        key = (nibble ^ t) | (value ^ proj_bits(t << 36)) << 4 | (parity ^ t.bit_count() & 1) << 6
+        moved_pick, moved_dist = _LIFT_PICKS[key]
+        assert moved_dist == dist, (nibble, t, value, parity)
+        if moved_pick == pick ^ t:
+            moved += 1
+        else:
+            assert (moved_pick, dist) == (pick ^ t ^ 0xF, 2), (nibble, t, value, parity)
+            complemented += 1
+    assert (moved, complemented) == (1_664, 384)
 
 
 @pytest.mark.parametrize("code", ["DE", "SE"])
@@ -528,9 +571,10 @@ def test_warm_corrected_decode_builds_no_gf4word(monkeypatch):
 # decoder.  Tracing wraps these names, so a decoder that bypasses one
 # leaves its spans incomplete.
 STAGE_NAMES = {
-    dc.represent_decode: ("classify_case", "proj_bits", "find_closest_in_e10", "lift"),
-    dc.syndrome_decode: ("classify_case", "proj_bits", "syndrome", "solve_syndrome",
-                         "lift"),
+    dc.represent_decode: ("classify_case", "parity_profile", "proj_bits",
+                          "find_closest_in_e10", "lift"),
+    dc.syndrome_decode: ("classify_case", "parity_profile", "proj_bits", "syndrome",
+                         "solve_syndrome", "lift"),
 }
 
 
@@ -554,4 +598,15 @@ def test_decoders_call_each_stage_through_the_module(monkeypatch):
             assert calls == Counter(names), (decode.__name__, code)
         calls.clear()
         assert not decode(no_case).ok
-        assert calls == Counter({"classify_case": 1})
+        assert calls == Counter({"classify_case": 1, "parity_profile": 1})
+
+
+def test_every_traced_stage_is_a_decode_stage():
+    # perfbench/spans.py wraps these names in sd40.decoders.  A name it
+    # wraps that no decode calls would time nothing and read 0.
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    children = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "CHILDREN")
+    assert set(children) == {n for names in STAGE_NAMES.values() for n in names}

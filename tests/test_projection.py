@@ -1,15 +1,18 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
+from sd40.decoders import classify_case
 from sd40.projection import (
     _PARITY_BYTES,
     _PROJ_BYTES,
     COLUMN_PATTERNS,
+    TOP_ROW_MASK,
     LiftError,
     candidates_for,
     column_nibble,
@@ -18,7 +21,6 @@ from sd40.projection import (
     has_projection_o,
     lift,
     parity_profile,
-    parity_vector,
     parse_array_text,
     proj,
     proj_bits,
@@ -68,10 +70,7 @@ def test_byte_tables_match_column_definitions():
     for v in [0, (1 << 40) - 1] + [rng.getrandbits(40) for _ in range(5_000)]:
         y, parities = _column_reference(v)
         assert proj_bits(v) == y
-        assert parity_vector(v) == parities
-        assert parity_profile(v).column_parities == tuple(
-            (parities >> i) & 1 for i in range(10)
-        )
+        assert parity_profile(v) == parities
     # Entry b of table k is the image of byte k holding b.
     for k in range(5):
         for b in range(256):
@@ -137,21 +136,24 @@ def test_lift_matches_column_loop():
             assert lift(*args) == want
 
 
+def _top_row_parity(v):
+    return (v & TOP_ROW_MASK).bit_count() & 1
+
+
 def test_parity_profile_section3_example():
-    p = parity_profile(parse_array_text(SECTION3_ARRAY))
-    odd = [c for c in range(1, 11) if p.column_parities[c - 1]]
+    v = parse_array_text(SECTION3_ARRAY)
+    parities = parity_profile(v)
+    odd = [c for c in range(1, 11) if (parities >> (c - 1)) & 1]
     assert odd == [1, 2, 7, 8]
-    assert p.top_row_parity == 0
-    assert p.majority_parity == 0
-    assert p.minority_columns == (1, 2, 7, 8)
-    assert not p.decodable
+    assert _top_row_parity(v) == 0
+    # Four minority columns under the even majority: undecodable.
+    assert classify_case(v) is None
 
 
 def test_parity_profile_zero():
-    p = parity_profile(0)
-    assert p.column_parities == (0,) * 10
-    assert p.top_row_parity == 0
-    assert p.minority_columns == ()
+    assert parity_profile(0) == 0
+    assert _top_row_parity(0) == 0
+    assert classify_case(0).erasure_columns == ()
 
 
 def test_column_patterns_are_proj_fibers():
@@ -203,8 +205,7 @@ def test_binmap_images_have_projection_o(e10):
     for row in e10_matrix().rows:
         v = binmap(row)
         assert has_projection_o(v, e10.word_set)
-        p = parity_profile(v)
-        assert p.minority_columns == () and p.majority_parity == 0
+        assert parity_profile(v) == 0
 
 
 def test_even_fiber_of_fixed_codeword_has_512_members(de_matrix):
@@ -224,8 +225,9 @@ def test_even_fiber_of_fixed_codeword_has_512_members(de_matrix):
 
 def test_lift_identity_on_codewords(de_matrix):
     for row in de_matrix.rows[:5]:
-        p = parity_profile(row)
-        word, flips = lift(row, proj(row), p.majority_parity, p.top_row_parity)
+        parities = parity_profile(row)
+        assert parities in (0, (1 << 10) - 1)
+        word, flips = lift(row, proj(row), parities & 1, _top_row_parity(row))
         assert word == row and flips == ()
 
 
@@ -237,8 +239,8 @@ def test_lift_reverses_small_corruptions(de_matrix, de_oracle):
         v = cw
         for pos in rng.sample(range(40), weight):
             v ^= 1 << pos
-        p = parity_profile(v)
-        word, flips = lift(v, proj(cw), p.majority_parity, p.majority_parity)
+        majority = classify_case(v).majority_parity
+        word, flips = lift(v, proj(cw), majority, majority)
         assert word == cw
         assert len(flips) <= 3
 
@@ -248,11 +250,31 @@ def test_lift_budget_exceeded():
     # parities still match, only the top row is off; fixing it costs 4.
     cw = printed_de_matrix().rows[0]
     v = cw ^ (0xF << 36)
-    p = parity_profile(v)
-    assert p.minority_columns == ()
-    assert p.top_row_parity != p.majority_parity
+    parities = parity_profile(v)
+    assert parities in (0, (1 << 10) - 1)
+    majority = parities & 1
+    assert _top_row_parity(v) != majority
     with pytest.raises(LiftError):
-        lift(v, proj(v), p.majority_parity, p.majority_parity)
+        lift(v, proj(v), majority, majority)
+
+
+# Array-layer calls with a symbol, parity or column outside its range, and
+# the message that names it.
+BAD_ARRAY_ARGUMENTS = {
+    "candidates_for-parity-2": (candidates_for, 1, 2, "parity must be 0 or 1, got 2"),
+    "candidates_for-parity--1": (candidates_for, 1, -1, "parity must be 0 or 1, got -1"),
+    "candidates_for-symbol-4": (candidates_for, 4, 0, "symbol must lie in 0..3, got 4"),
+    "candidates_for-symbol--1": (candidates_for, -1, 0, "symbol must lie in 0..3, got -1"),
+    "column_nibble-0": (column_nibble, 1, 0, "column must lie in 1..10, got 0"),
+    "column_nibble-11": (column_nibble, 1, 11, "column must lie in 1..10, got 11"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARRAY_ARGUMENTS)
+def test_array_layer_rejects_arguments_out_of_range(name):
+    fn, a, b, message = BAD_ARRAY_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(a, b)
 
 
 @pytest.mark.parametrize("column_parity,top_row_parity", [(2, 0), (0, 2), (-1, 0)])
