@@ -50,8 +50,9 @@ codeword within three flips, so it moves by c and the flips stay put.
 
 Every stage hands out projections, syndromes and error words as packed
 ints (and takes a Gf4Word or its bits), so a decode builds no Gf4Word.
-A declared failure is one shared frozen DecodeOutcome per (algorithm,
-case), at most 2 x 353.
+A DecodeOutcome stores four facts and derives ok, reason and the
+corrected projection, which the lift writes into the codeword.  A
+declared failure is one shared outcome per (algorithm, case), 2 x 353.
 """
 
 from __future__ import annotations
@@ -113,12 +114,21 @@ class DecodeOutcome:
     """Either a corrected codeword with its diagnosis, or a declared failure."""
 
     algorithm: str
-    ok: bool
     codeword: int | None
-    corrected_projection: int | None  # packed
     flipped_bits: tuple[int, ...]
     case: CaseLabel | None
-    reason: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.codeword is not None
+
+    @property
+    def reason(self) -> str | None:
+        return None if self.codeword is not None else FAILURE_REASON
+
+    @property
+    def corrected_projection(self) -> int | None:  # packed
+        return None if self.codeword is None else proj_bits(self.codeword)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +270,7 @@ def solve_syndrome(
 @functools.lru_cache(maxsize=None)
 def _failure(algorithm: str, case: CaseLabel | None) -> DecodeOutcome:
     """The shared declared-failure outcome of an algorithm and case."""
-    return DecodeOutcome(algorithm, False, None, None, (), case, FAILURE_REASON)
+    return DecodeOutcome(algorithm, None, (), case)
 
 
 def _decode(v: int, algorithm: str, code: str,
@@ -288,7 +298,7 @@ def _decode(v: int, algorithm: str, code: str,
         word, flips = lift(v, corrected, case.majority_parity, top_parity)
     except LiftError:
         return _failure(algorithm, case)
-    return DecodeOutcome(algorithm, True, word, corrected, flips, case)
+    return DecodeOutcome(algorithm, word, flips, case)
 
 
 def represent_decode(v: int, code: str = "DE",

@@ -32,9 +32,12 @@ COLUMN_PATTERNS = (
 
 # Bit p lies in column N_COLS - p // 4, in the row labelled 3 - p % 4
 # (row 0 is the nibble's top bit): the projection adds that label to the
-# column's symbol and the parity toggles the column's bit.
-_PROJ_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
+# column's symbol and the parity toggles the column's bit.  _FRONT_BYTES
+# holds both (parities from bit 20); parity_profile's smaller ints XOR faster.
 _PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
+_FRONT_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4))
+                            | 1 << (3 * N_COLS - 1 - p // 4) for p in range(N_BITS)])
+_PROJ_MASK = (1 << (2 * N_COLS)) - 1
 
 # 10-bit column mask -> the same mask with bit i moved to bit 2i, the
 # position layout of packed GF(4) words.
@@ -56,7 +59,16 @@ def column_nibble(v: int, col: int) -> int:
 def proj_bits(v: int) -> int:
     """Packed projection of a 40-bit word (hot-path form).  v must lie in
     [0, 2^40): any other int is read by its low 40 bits, silently."""
-    p0, p1, p2, p3, p4 = _PROJ_BYTES
+    p0, p1, p2, p3, p4 = _FRONT_BYTES
+    return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
+            ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF]) & _PROJ_MASK
+
+
+def _front(v: int) -> int:
+    """Projection | column parities << 20 of v; ValueError unless 40-bit."""
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
+    p0, p1, p2, p3, p4 = _FRONT_BYTES
     return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
@@ -72,9 +84,7 @@ def parity_profile(v: int) -> int:
 
 def proj(v: int) -> Gf4Word:
     """Projection of a 40-bit word onto GF(4)^10."""
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    return Gf4Word(proj_bits(v), N_COLS)
+    return Gf4Word(_front(v) & _PROJ_MASK, N_COLS)
 
 
 def candidates_for(value: int, parity: int) -> tuple[int, int]:
@@ -130,7 +140,7 @@ def lift(
 ) -> tuple[int, tuple[int, ...]]:
     """Rewrite columns of v so that its projection becomes y_corrected,
     every column has the given parity and the top row the given parity,
-    flipping as few bits as possible.
+    flipping as few bits as possible.  It reads v's projection and parities at once.
 
     Only columns whose projection value must change or whose parity is
     wrong are touched.  Each such column admits exactly two candidate
@@ -142,12 +152,12 @@ def lift(
     Raises LiftError when no rewrite exists within max_flips, and
     ValueError when v is not a 40-bit word or a parity is not 0 or 1.
     """
-    parities = parity_profile(v)
+    front = _front(v)
     if column_parity not in (0, 1) or top_row_parity not in (0, 1):
         raise ValueError(f"parities must be 0 or 1, got {column_parity} and {top_row_parity}")
     target = packed(y_corrected, N_COLS)
-    wrong_value = proj_bits(v) ^ target
-    wrong_parity = parities ^ ((1 << N_COLS) - 1 if column_parity else 0)
+    wrong_value = (front & _PROJ_MASK) ^ target
+    wrong_parity = (front >> (2 * N_COLS)) ^ ((1 << N_COLS) - 1 if column_parity else 0)
     # Bit 2i is set when column i+1 must be rewritten.
     todo = ((wrong_value | (wrong_value >> 1)) & _LOW_BITS) | _SPREAD[wrong_parity]
     parity_key = column_parity << 6

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.decoders import classify_case
 from sd40.projection import (
+    _FRONT_BYTES,
     _PARITY_BYTES,
-    _PROJ_BYTES,
     COLUMN_PATTERNS,
     TOP_ROW_MASK,
     LiftError,
@@ -71,10 +71,13 @@ def test_byte_tables_match_column_definitions():
         y, parities = _column_reference(v)
         assert proj_bits(v) == y
         assert parity_profile(v) == parities
-    # Entry b of table k is the image of byte k holding b.
+    # Entry b of table k is the image of byte k holding b: the projection
+    # in bits 0-19 and the parities from bit 20 in the fused table.
     for k in range(5):
         for b in range(256):
-            assert (_PROJ_BYTES[k][b], _PARITY_BYTES[k][b]) == _column_reference(b << 8 * k)
+            y, parities = _column_reference(b << 8 * k)
+            assert _FRONT_BYTES[k][b] == y | parities << 20
+            assert _PARITY_BYTES[k][b] == parities
 
 
 def test_lift_tie_rules():
@@ -134,6 +137,7 @@ def test_lift_matches_column_loop():
                 lift(*args)
         else:
             assert lift(*args) == want
+            assert proj_bits(want[0]) == target
 
 
 def _top_row_parity(v):
