@@ -32,8 +32,8 @@ COLUMN_PATTERNS = (
 
 # Bit p lies in column N_COLS - p // 4, in the row labelled 3 - p % 4
 # (row 0 is the nibble's top bit): the projection adds that label to the
-# column's symbol and the parity toggles the column's bit.  _FRONT_BYTES
-# holds both (parities from bit 20); parity_profile's smaller ints XOR faster.
+# column's symbol and the parity toggles the column's bit.  _FRONT_BYTES holds
+# both (parities from bit 20); parity_profile reading it cost uniform p50s 10%.
 _PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
 _FRONT_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4))
                             | 1 << (3 * N_COLS - 1 - p // 4) for p in range(N_BITS)])
