@@ -50,16 +50,18 @@ codeword within three flips, so it moves by c and the flips stay put.
 
 Every stage hands out projections, syndromes and error words as packed
 ints (and takes a Gf4Word or its bits), so a decode builds no Gf4Word.
-A DecodeOutcome stores four facts and derives ok, reason and the
-corrected projection, which the lift writes into the codeword.  A
-declared failure is one shared outcome per (algorithm, case), 2 x 353.
+A case carries the parity vector it was looked up by, and the lift takes
+it and the projection from the decode instead of reading v again.  A
+DecodeOutcome stores four facts and derives ok, reason and the corrected
+projection, which the lift writes into the codeword.  A declared failure
+is one shared outcome per (algorithm, case), 2 x 353.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .gf4 import CONJ, Gf4Word, InternalInvariantError, byte_tables, packed, xor_span
 from .projection import N_COLS, LiftError, lift, parity_profile, proj_bits
@@ -76,6 +78,7 @@ class CaseLabel:
     majority_parity: int
     erasure_columns: tuple[int, ...]  # 1-based minority columns
     max_errors: int  # unknown-position errors allowed on top of erasures
+    parities: int = field(compare=False, repr=False)  # the vector classified
 
     @property
     def parity_split(self) -> str:
@@ -96,7 +99,8 @@ def _case_table() -> tuple[CaseLabel | None, ...]:
             # The minority columns are the odd ones under an even majority
             # and the even ones under an odd majority.
             for majority, parities in ((0, mask), (1, mask ^ ((1 << N_COLS) - 1))):
-                table[parities] = CaseLabel(case_id, majority, minority, 1 if k <= 1 else 0)
+                table[parities] = CaseLabel(case_id, majority, minority,
+                                            1 if k <= 1 else 0, parities)
     return tuple(table)
 
 
@@ -211,6 +215,8 @@ def parity_check_matrix() -> tuple[Gf4Word, ...]:
 
 def h_column(col: int) -> Gf4Word:
     """Column col (1-based) of H as a 5-symbol word."""
+    if not 1 <= col <= N_COLS:
+        raise ValueError(f"column must lie in 1..{N_COLS}, got {col}")
     h = parity_check_matrix()
     return Gf4Word.from_symbols((row[col - 1] for row in h), 5)
 
@@ -294,8 +300,9 @@ def _decode(v: int, algorithm: str, code: str,
     # Projection O ties the top row to the column parity; projection E
     # wants it even regardless.
     top_parity = case.majority_parity if code == "DE" else 0
-    try:
-        word, flips = lift(v, corrected, case.majority_parity, top_parity)
+    try:  # the front as projection._front lays it out, so lift reads v once
+        word, flips = lift(v, corrected, case.majority_parity, top_parity,
+                           front=y | case.parities << 20)
     except LiftError:
         return _failure(algorithm, case)
     return DecodeOutcome(algorithm, word, flips, case)

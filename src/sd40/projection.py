@@ -137,10 +137,11 @@ def lift(
     column_parity: int,
     top_row_parity: int,
     max_flips: int = 3,
+    front: int | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Rewrite columns of v so that its projection becomes y_corrected,
     every column has the given parity and the top row the given parity,
-    flipping as few bits as possible.  It reads v's projection and parities at once.
+    flipping as few bits as possible.
 
     Only columns whose projection value must change or whose parity is
     wrong are touched.  Each such column admits exactly two candidate
@@ -151,12 +152,15 @@ def lift(
     Returns the rewritten word and the 1-based flipped coordinates.
     Raises LiftError when no rewrite exists within max_flips, and
     ValueError when v is not a 40-bit word or a parity is not 0 or 1.
+    A caller that has read v already passes front (v's projection |
+    column parities << 20, as _front gives them) and a packed y_corrected;
+    lift then neither reads them from v again nor checks v or y_corrected.
     """
-    front = _front(v)
+    if front is None:
+        front, y_corrected = _front(v), packed(y_corrected, N_COLS)
     if column_parity not in (0, 1) or top_row_parity not in (0, 1):
         raise ValueError(f"parities must be 0 or 1, got {column_parity} and {top_row_parity}")
-    target = packed(y_corrected, N_COLS)
-    wrong_value = (front & _PROJ_MASK) ^ target
+    wrong_value = (front & _PROJ_MASK) ^ y_corrected
     wrong_parity = (front >> (2 * N_COLS)) ^ ((1 << N_COLS) - 1 if column_parity else 0)
     # Bit 2i is set when column i+1 must be rewritten.
     todo = ((wrong_value | (wrong_value >> 1)) & _LOW_BITS) | _SPREAD[wrong_parity]
@@ -170,7 +174,7 @@ def lift(
         pos = low.bit_length() >> 1  # 0-based column index
         shift = 4 * (N_COLS - 1 - pos)
         cur = (v >> shift) & 0xF
-        pick, dist = _LIFT_PICKS[cur | ((target >> (2 * pos)) & 3) << 4 | parity_key]
+        pick, dist = _LIFT_PICKS[cur | ((y_corrected >> (2 * pos)) & 3) << 4 | parity_key]
         out ^= (cur ^ pick) << shift
         total += dist
         # Swapping a column to its complement costs 4 - 2d extra flips;
@@ -192,7 +196,9 @@ def lift(
 
 def flip_positions(diff: int) -> tuple[int, ...]:
     """The 1-based coordinates of the set bits of a 40-bit difference, in
-    increasing order."""
+    increasing order.  ValueError: diff lies outside [0, 2^40)."""
+    if diff >> N_BITS:  # -1 for every negative diff
+        raise ValueError(f"difference {diff} is not a {N_BITS}-bit word")
     flips = []
     while diff:
         bit = diff.bit_length() - 1
@@ -202,16 +208,12 @@ def flip_positions(diff: int) -> tuple[int, ...]:
 
 
 def format_array_text(v: int) -> str:
-    """Four lines of ten characters, rows in label order 0, 1, w, W."""
-    lines = []
-    for row in range(4):
-        bit = 3 - row
-        lines.append(
-            "".join(
-                str((column_nibble(v, c) >> bit) & 1) for c in range(1, N_COLS + 1)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Four lines of ten characters, rows in label order 0, 1, w, W.
+    ValueError: v is no 40-bit word."""
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"word {v} is not a {N_BITS}-bit word")
+    return "".join("".join(str(column_nibble(v, c) >> (3 - row) & 1) for c in range(1, N_COLS + 1))
+                   + "\n" for row in range(4))
 
 
 def parse_array_text(text: str) -> int:

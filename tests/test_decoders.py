@@ -1,7 +1,10 @@
 import ast
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import pytest
 
 import sd40
 from sd40 import decoders as dc
-from sd40 import cli, gf4, quaternary
+from sd40 import cli, gf4, projection, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.gf4 import Gf4Word, xor_span
 from sd40.oracle import indexed_decode
@@ -165,6 +168,9 @@ def test_parity_check_matrix_columns():
     assert len(h) == 5
     assert dc.h_column(9).to_string() == "0001w"
     assert dc.h_column(5).to_string() == "01101"
+    for col in (0, 11):
+        with pytest.raises(ValueError, match=f"column must lie in 1..10, got {col}"):
+            dc.h_column(col)
 
 
 def test_solve_syndrome_examples():
@@ -436,6 +442,46 @@ def test_received_word_domain(v):
     assert dc.represent_decode((1 << 40) - 1).algorithm == "representation"
 
 
+# Calls a stage on one word in a fresh interpreter and prints the
+# ValueError it raises, if any.  A stage that loops forever on a word
+# outside [0, 2^40) then fails on the timeout instead of stalling the suite.
+_DOMAIN_PROBE = """\
+import sys
+from sd40 import decoders as dc, projection as pj
+from sd40.constructions import c40_de
+from sd40.oracle import build_oracle, indexed_decode
+stage = {
+    "classify_case": dc.classify_case,
+    "parity_profile": pj.parity_profile,
+    "proj": pj.proj,
+    "lift": lambda v: pj.lift(v, 0, 0, 0),
+    "flip_positions": pj.flip_positions,
+    "format_array_text": pj.format_array_text,
+    "represent_decode": dc.represent_decode,
+    "syndrome_decode": dc.syndrome_decode,
+    "indexed_decode": lambda v: indexed_decode(v, build_oracle(c40_de())),
+}[sys.argv[1]]
+try:
+    stage(int(sys.argv[2]))
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+DOMAIN_STAGES = ("classify_case", "parity_profile", "proj", "lift", "flip_positions",
+                 "format_array_text", "represent_decode", "syndrome_decode", "indexed_decode")
+
+
+@pytest.mark.parametrize("v", [-1, 1 << 40])
+@pytest.mark.parametrize("stage", DOMAIN_STAGES)
+def test_every_word_stage_rejects_words_outside_40_bits(stage, v):
+    src = str(Path(sd40.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _DOMAIN_PROBE, stage, str(v)],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("ValueError:") and "40-bit" in done.stdout, done.stdout
+
+
 def test_internal_invariant_error_is_one_class():
     assert dc.InternalInvariantError is gf4.InternalInvariantError
     assert sd40.InternalInvariantError is gf4.InternalInvariantError
@@ -636,6 +682,23 @@ def test_decoders_call_each_stage_through_the_module(monkeypatch):
         calls.clear()
         assert not decode(no_case).ok
         assert calls == Counter({"classify_case": 1, "parity_profile": 1})
+
+
+def test_corrected_decodes_read_the_front_once(monkeypatch):
+    # classify_case and proj_bits read the parities and the projection;
+    # lift takes both from _decode instead of reading the word again.
+    received = [(parse_array_text(array), "DE") for array, *_ in EXAMPLES.values()]
+    received += [(matrix.encode(0xABCDE) ^ 0b1011 << 9, code)
+                 for code, matrix in (("DE", printed_de_matrix()), ("SE", printed_se_matrix()))]
+    calls = Counter()
+    monkeypatch.setattr(projection, "_front", _counting(calls, "_front", projection._front))
+    for v, code in received:
+        for decode in _decoders():
+            out = decode(v, code)
+            assert out.ok and out.flipped_bits
+    assert calls["_front"] == 0
+    proj(received[0][0])  # the counter does see a read
+    assert calls["_front"] == 1
 
 
 def test_every_traced_stage_is_a_decode_stage():

@@ -14,6 +14,7 @@ from sd40.projection import (
     COLUMN_PATTERNS,
     TOP_ROW_MASK,
     LiftError,
+    _front,
     candidates_for,
     column_nibble,
     format_array_text,
@@ -132,11 +133,14 @@ def test_lift_matches_column_loop():
         target = proj_bits(v) ^ rng.choice([0, rng.getrandbits(20), 1 << 2 * rng.randrange(10)])
         args = (v, target, rng.randrange(2), rng.randrange(2), rng.choice([3, 40]))
         want = _reference_lift(*args)
-        if want is None:
-            with pytest.raises(LiftError):
-                lift(*args)
-        else:
-            assert lift(*args) == want
+        # A decoder hands lift the front it has read; both forms must agree.
+        for front in ({}, {"front": _front(v)}):
+            if want is None:
+                with pytest.raises(LiftError):
+                    lift(*args, **front)
+            else:
+                assert lift(*args, **front) == want
+        if want is not None:
             assert proj_bits(want[0]) == target
 
 
