@@ -220,9 +220,7 @@ def cmd_fuzz(args) -> int:
         r = dc.represent_decode(v, args.code)
         s = dc.syndrome_decode(v, args.code)
         o = oc.indexed_decode(v, table)
-        rc = r.codeword if r.ok else None
-        sc = s.codeword if s.ok else None
-        if rc == sc == o:
+        if r.codeword == s.codeword == o:
             if o is None:
                 failures += 1
             else:

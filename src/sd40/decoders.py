@@ -300,7 +300,7 @@ def _decode(v: int, algorithm: str, code: str,
     # Projection O ties the top row to the column parity; projection E
     # wants it even regardless.
     top_parity = case.majority_parity if code == "DE" else 0
-    try:  # the front as projection._front lays it out, so lift reads v once
+    try:  # the front in the layout lift documents, so lift reads v once
         word, flips = lift(v, corrected, case.majority_parity, top_parity,
                            front=y | case.parities << 20)
     except LiftError:

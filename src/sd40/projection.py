@@ -32,11 +32,9 @@ COLUMN_PATTERNS = (
 
 # Bit p lies in column N_COLS - p // 4, in the row labelled 3 - p % 4
 # (row 0 is the nibble's top bit): the projection adds that label to the
-# column's symbol and the parity toggles the column's bit.  _FRONT_BYTES holds
-# both (parities from bit 20); parity_profile reading it cost uniform p50s 10%.
+# column's symbol and the parity toggles the column's bit.
 _PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
-_FRONT_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4))
-                            | 1 << (3 * N_COLS - 1 - p // 4) for p in range(N_BITS)])
+_PROJ_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
 _PROJ_MASK = (1 << (2 * N_COLS)) - 1
 
 # 10-bit column mask -> the same mask with bit i moved to bit 2i, the
@@ -50,7 +48,10 @@ class LiftError(Exception):
 
 
 def column_nibble(v: int, col: int) -> int:
-    """Column col (1-based) of the array as a 4-bit value, row 0 on top."""
+    """Column col (1-based) of the array as a 4-bit value, row 0 on top.
+    ValueError: v is no 40-bit word or col lies outside 1..10."""
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"word {v} is not a {N_BITS}-bit word")
     if not 1 <= col <= N_COLS:
         raise ValueError(f"column must lie in 1..{N_COLS}, got {col}")
     return (v >> (4 * (N_COLS - col))) & 0xF
@@ -59,16 +60,7 @@ def column_nibble(v: int, col: int) -> int:
 def proj_bits(v: int) -> int:
     """Packed projection of a 40-bit word (hot-path form).  v must lie in
     [0, 2^40): any other int is read by its low 40 bits, silently."""
-    p0, p1, p2, p3, p4 = _FRONT_BYTES
-    return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
-            ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF]) & _PROJ_MASK
-
-
-def _front(v: int) -> int:
-    """Projection | column parities << 20 of v; ValueError unless 40-bit."""
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    p0, p1, p2, p3, p4 = _FRONT_BYTES
+    p0, p1, p2, p3, p4 = _PROJ_BYTES
     return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
@@ -84,7 +76,9 @@ def parity_profile(v: int) -> int:
 
 def proj(v: int) -> Gf4Word:
     """Projection of a 40-bit word onto GF(4)^10."""
-    return Gf4Word(_front(v) & _PROJ_MASK, N_COLS)
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
+    return Gf4Word(proj_bits(v), N_COLS)
 
 
 def candidates_for(value: int, parity: int) -> tuple[int, int]:
@@ -152,12 +146,13 @@ def lift(
     Returns the rewritten word and the 1-based flipped coordinates.
     Raises LiftError when no rewrite exists within max_flips, and
     ValueError when v is not a 40-bit word or a parity is not 0 or 1.
-    A caller that has read v already passes front (v's projection |
-    column parities << 20, as _front gives them) and a packed y_corrected;
-    lift then neither reads them from v again nor checks v or y_corrected.
+    A caller that has read v already passes front, the packed projection
+    of v in bits 0-19 and its column parities (as parity_profile gives
+    them) from bit 20, and a packed y_corrected; lift then neither reads
+    them from v again nor checks v or y_corrected.
     """
-    if front is None:
-        front, y_corrected = _front(v), packed(y_corrected, N_COLS)
+    if front is None:  # parity_profile first: it checks v, proj_bits does not
+        front, y_corrected = parity_profile(v) << 20 | proj_bits(v), packed(y_corrected, N_COLS)
     if column_parity not in (0, 1) or top_row_parity not in (0, 1):
         raise ValueError(f"parities must be 0 or 1, got {column_parity} and {top_row_parity}")
     wrong_value = (front & _PROJ_MASK) ^ y_corrected
@@ -210,8 +205,6 @@ def flip_positions(diff: int) -> tuple[int, ...]:
 def format_array_text(v: int) -> str:
     """Four lines of ten characters, rows in label order 0, 1, w, W.
     ValueError: v is no 40-bit word."""
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"word {v} is not a {N_BITS}-bit word")
     return "".join("".join(str(column_nibble(v, c) >> (3 - row) & 1) for c in range(1, N_COLS + 1))
                    + "\n" for row in range(4))
 

@@ -77,6 +77,52 @@ def test_unused_import_check_sees_an_unused_name(tmp_path):
     assert _unused_imports(module) == ["m.py:3 field"]
 
 
+def _bound_names(stmt):
+    """Names a module-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def _unread_private_names(paths):
+    """Private module-level names (one leading underscore, no dunders)
+    that no module in paths reads as a name or an attribute."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    return [f"{path.name}:{stmt.lineno} {name}"
+            for path, tree in trees.items() for stmt in tree.body for name in _bound_names(stmt)
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_every_private_module_name_is_read():
+    # A private helper or table that nothing in the package reads is dead
+    # code, even when a test still reads it.
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) >= 8
+    unread = _unread_private_names(paths)
+    assert not unread, unread
+
+
+def test_private_name_check_sees_an_unread_name(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os\n"
+                      "_TABLE, _SIZE = (1, 2), 2\n"
+                      "__all__: list = []\n"
+                      "def _helper():\n"
+                      "    return _SIZE\n"
+                      "class _Orphan:\n"
+                      "    _x = os.sep\n"
+                      "def size():\n"
+                      "    return _helper()\n")
+    assert _unread_private_names([module]) == ["m.py:2 _TABLE", "m.py:6 _Orphan"]
+
+
 # Imports a module in a fresh interpreter, runs the CLI on the remaining
 # arguments if there are any, and prints the exit code and whether numpy
 # got loaded.

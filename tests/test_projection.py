@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.decoders import classify_case
 from sd40.projection import (
-    _FRONT_BYTES,
     _PARITY_BYTES,
+    _PROJ_BYTES,
     COLUMN_PATTERNS,
     TOP_ROW_MASK,
     LiftError,
-    _front,
     candidates_for,
     column_nibble,
     format_array_text,
@@ -72,12 +71,11 @@ def test_byte_tables_match_column_definitions():
         y, parities = _column_reference(v)
         assert proj_bits(v) == y
         assert parity_profile(v) == parities
-    # Entry b of table k is the image of byte k holding b: the projection
-    # in bits 0-19 and the parities from bit 20 in the fused table.
+    # Entry b of table k is the image of byte k holding b.
     for k in range(5):
         for b in range(256):
             y, parities = _column_reference(b << 8 * k)
-            assert _FRONT_BYTES[k][b] == y | parities << 20
+            assert _PROJ_BYTES[k][b] == y
             assert _PARITY_BYTES[k][b] == parities
 
 
@@ -134,7 +132,7 @@ def test_lift_matches_column_loop():
         args = (v, target, rng.randrange(2), rng.randrange(2), rng.choice([3, 40]))
         want = _reference_lift(*args)
         # A decoder hands lift the front it has read; both forms must agree.
-        for front in ({}, {"front": _front(v)}):
+        for front in ({}, {"front": proj_bits(v) | parity_profile(v) << 20}):
             if want is None:
                 with pytest.raises(LiftError):
                     lift(*args, **front)
