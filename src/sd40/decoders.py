@@ -65,7 +65,7 @@ from dataclasses import dataclass, field
 
 from .gf4 import CONJ, Gf4Word, InternalInvariantError, byte_tables, packed, xor_span
 from .projection import N_COLS, LiftError, lift, parity_profile, proj_bits
-from .quaternary import e10_matrix, e10_table, orbit_lookup
+from .quaternary import e10_matrix, e10_table
 
 FAILURE_REASON = "more than three errors occurred"
 
@@ -140,17 +140,19 @@ class DecodeOutcome:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _budget_patterns(erasures: tuple[int, ...], max_errors: int) -> tuple[int, ...]:
+# Typed, here and in _syndrome_table, so that an erasure 1.0 cannot hit column 1.
+@functools.lru_cache(maxsize=None, typed=True)
+def _budget_patterns(max_errors: int, *erasures: int) -> tuple[int, ...]:
     """Every projection error word inside the budget: any value (zero
     included) on each erasure column plus at most max_errors nonzero
     symbols on the other columns.  An erased position may keep its value
     because a flipped top-row bit changes a column's parity but not its
     projection."""
-    if max_errors < 0 or 2 * max_errors + len(erasures) >= 4:
+    if max_errors not in (0, 1) or 2 * max_errors + len(erasures) >= 4:
         raise ValueError("budget violates unique-decoding bound")
-    if len(set(erasures)) != len(erasures) or not set(erasures) <= set(range(1, N_COLS + 1)):
-        raise ValueError(f"erasures must be distinct columns 1..{N_COLS}: {erasures}")
+    if len(set(erasures)) != len(erasures) or not all(
+            type(c) is int and 1 <= c <= N_COLS for c in erasures):
+        raise ValueError(f"erasures must be distinct int columns 1..{N_COLS}: {erasures}")
     fills = xor_span([val << (2 * (c - 1)) for c in erasures for val in (1, 2)])
     patterns = list(fills)
     if max_errors:  # the bound leaves room for one error at most
@@ -174,30 +176,19 @@ def find_closest_in_e10(
     y: Gf4Word | int,
     erasures: tuple[int, ...] = (),
     max_errors: int = 0,
-    members: frozenset[int] | None = None,
 ) -> int | None:
     """The unique codeword within the (erasures, max_errors) budget of y,
-    or None.  ValueError: y is no 10-symbol projection, or the budget
-    breaks 2*max_errors + len(erasures) < 4.  InternalInvariantError: E10
-    has a nonzero word of weight below 4, or a caller's `members` set holds
-    two words inside the budget."""
-    patterns = _budget_patterns(tuple(erasures), max_errors)
-    codewords = _e10_words() if members is None else members
+    or None.  ValueError: y is no 10-symbol projection, max_errors is not
+    0 or 1, an erasure is no int column 1..10, or the budget breaks
+    2*max_errors + len(erasures) < 4.  InternalInvariantError: E10 has a
+    nonzero word of weight below 4."""
+    patterns = _budget_patterns(max_errors, *erasures)
+    codewords = _e10_words()
     y = packed(y, N_COLS)
     for e in patterns:
-        if y ^ e in codewords:
-            # E10 holds no second hit (see the module doc); a caller's set may.
-            if members is not None and len(members.intersection(map(y.__xor__, patterns))) > 1:
-                raise InternalInvariantError("two words of the members set inside budget")
+        if y ^ e in codewords:  # the only hit (see the module doc)
             return y ^ e
     return None
-
-
-@functools.lru_cache(maxsize=None)
-def orbit_members() -> frozenset[int]:
-    """E10 membership derived from the eight type representatives and the
-    symmetry group instead of the generator matrix."""
-    return frozenset(orbit_lookup()) | {0}
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +234,11 @@ def syndrome(y: Gf4Word | int) -> int:
     return _syndrome_bits(packed(y, N_COLS))
 
 
-@functools.lru_cache(maxsize=None)
-def _syndrome_table(erasures: tuple[int, ...], max_errors: int) -> dict[int, int]:
+@functools.lru_cache(maxsize=None, typed=True)
+def _syndrome_table(max_errors: int, *erasures: int) -> dict[int, int]:
     """Packed syndrome -> the packed error word inside the budget that has it."""
     table: dict[int, int] = {}
-    for e in _budget_patterns(erasures, max_errors):
+    for e in _budget_patterns(max_errors, *erasures):
         s = _syndrome_bits(e)
         if s in table:
             raise InternalInvariantError(
@@ -265,7 +256,7 @@ def solve_syndrome(
     """The unique packed error word e with s = H conj(e)^T supported on the
     erasure columns plus at most max_errors further positions, or None.
     An erased column may carry no projection error."""
-    return _syndrome_table(tuple(erasures), max_errors).get(packed(s, 5))
+    return _syndrome_table(max_errors, *erasures).get(packed(s, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +270,7 @@ def _failure(algorithm: str, case: CaseLabel | None) -> DecodeOutcome:
     return DecodeOutcome(algorithm, None, (), case)
 
 
-def _decode(v: int, algorithm: str, code: str,
-             members: frozenset[int] | None = None) -> DecodeOutcome:
+def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
     if code not in ("DE", "SE"):
         raise ValueError(f"code must be DE or SE, got {code!r}")
     if algorithm not in ("representation", "syndrome"):
@@ -290,7 +280,7 @@ def _decode(v: int, algorithm: str, code: str,
         return _failure(algorithm, None)
     y = proj_bits(v)
     if algorithm == "representation":
-        corrected = find_closest_in_e10(y, case.erasure_columns, case.max_errors, members)
+        corrected = find_closest_in_e10(y, case.erasure_columns, case.max_errors)
     else:
         err = solve_syndrome(syndrome(y), case.erasure_columns, case.max_errors)
         # y + e has syndrome zero, so it is an E10 codeword.
@@ -308,11 +298,13 @@ def _decode(v: int, algorithm: str, code: str,
     return DecodeOutcome(algorithm, word, flips, case)
 
 
-def represent_decode(v: int, code: str = "DE",
-                     members: frozenset[int] | None = None) -> DecodeOutcome:
-    """Representation decoding: correct the projection by codeword-pattern
-    matching, then rewrite the flagged columns."""
-    return _decode(v, "representation", code, members)
+def represent_decode(v: int, code: str = "DE", members: None = None) -> DecodeOutcome:
+    """Representation decoding: correct the projection by matching E10
+    codewords, then rewrite the flagged columns.  `members` takes only None;
+    it stays while the benchmark's gate test passes it (ROADMAP.md item 1)."""
+    if members is not None:
+        raise ValueError("represent_decode searches E10 only; members must be None")
+    return _decode(v, "representation", code)
 
 
 def syndrome_decode(v: int, code: str = "DE") -> DecodeOutcome:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .gf4 import MUL, Gf4Word, InternalInvariantError, packed, trace_inner, word_weight, xor_span
@@ -147,8 +148,8 @@ class MonomialSymmetry:
     def __post_init__(self) -> None:
         if sorted(self.block_perm) != list(range(NUM_BLOCKS)):
             raise ValueError(f"bad block permutation {self.block_perm}")
-        if sum(self.swaps) % 2:
-            raise ValueError("number of intra-block swaps must be even")
+        if len(self.swaps) != NUM_BLOCKS or not set(self.swaps) <= {0, 1} or sum(self.swaps) % 2:
+            raise ValueError(f"swaps must be {NUM_BLOCKS} booleans, an even number of them true")
         if self.scalar not in (1, 2, 3):
             raise ValueError(f"scalar must be nonzero, got {self.scalar}")
 
@@ -222,15 +223,19 @@ def orbit_lookup() -> dict[int, int]:
     """Packed codeword -> type id, built by expanding every representative
     under the full symmetry group.
 
-    The expansion must tile the 1023 nonzero codewords exactly once; any
-    overlap between types or shortfall in the total is a hard error, so a
-    successful build doubles as a verification of the type table.
+    The expansion must tile the 1023 nonzero E10 codewords exactly once:
+    an image outside E10, an overlap between types or a shortfall in the
+    total is a hard error, so a successful build verifies the paper's
+    eight types.
     """
+    codewords = e10_table().word_set
     lookup: dict[int, int] = {}
     for typ in ORBIT_TYPES:
         rep = typ.representative.bits
         for sym in full_symmetry_group():
             image = sym.apply_bits(rep)
+            if image not in codewords:
+                raise InternalInvariantError(f"type {typ.type_id} reaches {image:#x}, not in E10")
             prev = lookup.setdefault(image, typ.type_id)
             if prev != typ.type_id:
                 raise InternalInvariantError(
@@ -253,16 +258,5 @@ def classify_type(word: Gf4Word | int) -> OrbitType:
 
 
 def orbit_census() -> dict[int, int]:
-    """Count of codewords per type over all 1023 nonzero E10 words."""
-    census = {t.type_id: 0 for t in ORBIT_TYPES}
-    lookup = orbit_lookup()
-    for bits in e10_table().words:
-        if bits == 0:
-            continue
-        tid = lookup.get(bits)
-        if tid is None:
-            raise InternalInvariantError(
-                f"codeword {Gf4Word(bits, N).to_string()} has no orbit type"
-            )
-        census[tid] += 1
-    return census
+    """Codewords per type; building orbit_lookup checks that they tile E10."""
+    return dict(Counter(orbit_lookup().values()))

@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sd40 import cli
 from sd40 import decoders as dc
@@ -93,6 +94,7 @@ def test_criterion_5_golden_examples(capsys):
         report(5, "four worked examples, both algorithms, byte-identical transcripts")
 
 
+@pytest.mark.sweep
 def test_criterion_6_bounded_distance_completeness():
     t0 = time.perf_counter()
     patterns = [0]
@@ -119,6 +121,7 @@ def test_criterion_6_bounded_distance_completeness():
               f"decoders ({time.perf_counter() - t0:.0f}s)")
 
 
+@pytest.mark.sweep
 def test_criterion_7_oracle_agreement(de_oracle):
     t0 = time.perf_counter()
     rng = random.Random(427)

@@ -68,19 +68,6 @@ def test_golden_examples(k):
         assert out.codeword == expected_word
 
 
-def test_membership_paths_agree(e10):
-    # The orbit-expansion membership set is the enumerated code.
-    orbit = dc.orbit_members()
-    assert orbit == e10.word_set
-    for array, *_ in EXAMPLES.values():
-        v = parse_array_text(array)
-        assert dc.represent_decode(v) == dc.represent_decode(v, members=orbit)
-    rng = random.Random(53)
-    for _ in range(2_000):
-        v = rng.getrandbits(40)
-        assert dc.represent_decode(v) == dc.represent_decode(v, members=orbit)
-
-
 def test_classify_case():
     for k, (array, *_rest) in EXAMPLES.items():
         case = dc.classify_case(parse_array_text(array))
@@ -137,11 +124,6 @@ def test_find_closest_examples(e10):
     assert dc.find_closest_in_e10(y_far, (), 1) is None
     with pytest.raises(ValueError):
         dc.find_closest_in_e10(y1, (1, 2), 1)
-    # E10's distance rules out a second hit, but a caller's set is checked:
-    # 0 and a weight-one word both lie inside the one-error budget of 0.
-    members = frozenset({0, Gf4Word.from_string("0000w00000").bits})
-    with pytest.raises(dc.InternalInvariantError):
-        dc.find_closest_in_e10(0, (), 1, members)
 
 
 def test_syndrome_examples(e10):
@@ -397,6 +379,7 @@ def test_lift_picks_move_with_a_translating_column():
     assert (moved, complemented) == (1_664, 384)
 
 
+@pytest.mark.sweep
 @pytest.mark.parametrize("code", ["DE", "SE"])
 def test_every_syndrome_coset_matches_the_oracle(code, de_oracle, se_oracle):
     # One received word per binary syndrome coset, 2^20 in all.  The unit
@@ -497,6 +480,7 @@ def _valid_budgets():
                 yield erasures, max_errors
 
 
+@pytest.mark.sweep
 def test_budget_tables_agree_on_every_syndrome(e10):
     # One received projection per syndrome coset: every y is a codeword
     # plus one of these, and both searches commute with adding codewords,
@@ -511,18 +495,17 @@ def test_budget_tables_agree_on_every_syndrome(e10):
             break
     assert len(reps) == 1024
     assert dc._e10_words() == e10.word_set
-    orbit = dc.orbit_members()
     budgets = list(_valid_budgets())
     assert len(budgets) == 187
-    assert sum(len(dc._budget_patterns(*b)) for b in budgets) == 9_592
+    assert sum(len(dc._budget_patterns(max_errors, *erasures))
+               for erasures, max_errors in budgets) == 9_592
     for erasures, max_errors in budgets:
-        patterns = dc._budget_patterns(erasures, max_errors)
-        assert dc._syndrome_table(erasures, max_errors) == {
+        patterns = dc._budget_patterns(max_errors, *erasures)
+        assert dc._syndrome_table(max_errors, *erasures) == {
             dc.syndrome(e): e for e in patterns}
         for s, y in reps.items():
             closest = dc.find_closest_in_e10(Gf4Word(y, 10), erasures, max_errors)
             assert dc.find_closest_in_e10(y, erasures, max_errors) == closest
-            assert dc.find_closest_in_e10(y, erasures, max_errors, orbit) == closest
             err = dc.solve_syndrome(Gf4Word(s, 5), erasures, max_errors)
             assert dc.solve_syndrome(dc.syndrome(y), erasures, max_errors) == err
             if closest is None:
@@ -530,13 +513,6 @@ def test_budget_tables_agree_on_every_syndrome(e10):
             else:
                 assert closest == y ^ err, (erasures, max_errors, s)
                 assert closest in e10.word_set
-    # A caller's membership set may hold words outside E10, and those come
-    # back like the E10 ones.
-    weight_one = Gf4Word.from_string("0000w00000")
-    row = e10_matrix().rows[0]
-    members = frozenset({weight_one.bits, row.bits})
-    assert dc.find_closest_in_e10(0, (), 1, members) == weight_one.bits
-    assert dc.find_closest_in_e10(row.bits, (), 0, members) == row.bits
 
 
 def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
@@ -559,13 +535,28 @@ def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
 
 def test_budget_argument_checks():
     y = Gf4Word(0, 10)
-    for erasures, max_errors in (((1, 1), 0), ((0,), 0), ((11,), 1), ((), -1)):
+    # Half an error would add the one-error words to a two-erasure budget;
+    # the erasure 1.0 equals column 1, so it must not reach that budget's cache.
+    dc.find_closest_in_e10(y, (1,), 0)
+    for erasures, max_errors in (((1, 1), 0), ((0,), 0), ((11,), 1), ((), -1),
+                                 ((1, 2), 0.5), ((1.0,), 0)):
         with pytest.raises(ValueError):
             dc.find_closest_in_e10(y, erasures, max_errors)
         with pytest.raises(ValueError):
             dc.solve_syndrome(Gf4Word(0, 5), erasures, max_errors)
     # A list of erasure columns is accepted like a tuple.
     assert dc.find_closest_in_e10(y, [3, 7], 0) == y.bits
+
+
+def test_represent_decode_reads_only_e10():
+    # The third slot takes None alone, so no caller can swap in another set.
+    rng = random.Random(61)
+    for v in [parse_array_text(array) for array, *_ in EXAMPLES.values()] + [
+            rng.getrandbits(40) for _ in range(200)]:
+        for code in ("DE", "SE"):
+            assert dc.represent_decode(v, code, None) == dc.represent_decode(v, code)
+    with pytest.raises(ValueError):
+        dc.represent_decode(0, "DE", frozenset())
 
 
 @pytest.mark.parametrize("y", [-1, 1 << 20, 1 << 24])

@@ -99,6 +99,7 @@ def test_weight_four_column_error_is_undecodable(de_oracle):
     assert indexed_decode(v, de_oracle) is None
 
 
+@pytest.mark.sweep
 def test_indexed_equals_scan_on_random_words(de_oracle):
     rng = random.Random(4096)
     for _ in range(10_000):

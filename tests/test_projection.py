@@ -122,6 +122,7 @@ def _reference_lift(v, target, column_parity, top_row_parity, max_flips=3):
     return out, tuple(i for i in range(1, 41) if (v ^ out) >> (40 - i) & 1)
 
 
+@pytest.mark.sweep
 def test_lift_matches_column_loop():
     rng = random.Random(29)
     for _ in range(20_000):

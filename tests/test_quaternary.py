@@ -2,11 +2,13 @@ import random
 
 import pytest
 
-from sd40.gf4 import Gf4Word, trace_inner
+from sd40 import quaternary
+from sd40.gf4 import Gf4Word, InternalInvariantError, trace_inner
 from sd40.quaternary import (
     GROUP_ORDER,
     ORBIT_TYPES,
     MonomialSymmetry,
+    OrbitType,
     b10_matrix,
     classify_type,
     e10_matrix,
@@ -82,6 +84,10 @@ def test_symmetry_validation():
         MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 0)
     with pytest.raises(ValueError):
         MonomialSymmetry((0, 0, 2, 3, 4), (False,) * 5, 1)
+    # Swaps are five booleans: a sum of 2 is not two swapped blocks.
+    for swaps in ((2, 0, 0, 0, 0), (0.5, 0.5, 1, 0, 0), (True, True)):
+        with pytest.raises(ValueError):
+            MonomialSymmetry((0, 1, 2, 3, 4), swaps, 1)
 
 
 def test_symmetry_actions():
@@ -128,6 +134,21 @@ def test_orbit_census_matches_table(e10):
     assert census == EXPECTED_CENSUS
     assert sum(census.values()) == 1023
     assert set(orbit_lookup()) == e10.word_set - {0}
+
+
+def test_orbit_lookup_rejects_an_image_outside_e10(monkeypatch):
+    # 0001000000 is no codeword, yet its orbit has 30 words like type 1's,
+    # so only the membership check of the build can see the bad type.
+    bad = OrbitType(1, Gf4Word.from_string("0001000000"), 30, 1)
+    monkeypatch.setattr(quaternary, "ORBIT_TYPES", (bad, *ORBIT_TYPES[1:]))
+    orbit_lookup.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="type 1"):
+            orbit_lookup()
+    finally:
+        monkeypatch.undo()
+        orbit_lookup.cache_clear()
+    assert orbit_census() == EXPECTED_CENSUS
 
 
 def test_orbit_type_weights():
