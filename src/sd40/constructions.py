@@ -124,11 +124,7 @@ class BinaryGeneratorMatrix:
 
 
 def _lift(matrix: QuaternaryGeneratorMatrix, extra: tuple[int, ...], name: str) -> BinaryGeneratorMatrix:
-    rows = [binmap(r) for r in matrix.rows] + list(extra)
-    basis = row_reduce(rows)
-    if len(basis) != DIMENSION:
-        raise ValueError(f"{name}: span has rank {len(basis)}, expected {DIMENSION}")
-    return BinaryGeneratorMatrix(name, basis)
+    return BinaryGeneratorMatrix(name, row_reduce([binmap(r) for r in matrix.rows] + list(extra)))
 
 
 def rho_a(matrix: QuaternaryGeneratorMatrix) -> BinaryGeneratorMatrix:

@@ -138,7 +138,7 @@ class Gf4Word:
             raise ValueError(f"expected {n} symbols, got {len(syms)}")
         bits = 0
         for i, s in enumerate(syms):
-            if not 0 <= s <= 3:
+            if type(s) is not int or not 0 <= s <= 3:
                 raise ValueError(f"symbol {s!r} at position {i + 1} is not in GF(4)")
             bits |= s << (2 * i)
         return cls(bits, len(syms))
@@ -210,14 +210,10 @@ def hermitian_inner(x: Gf4Word, y: Gf4Word) -> int:
 
 
 def trace_inner(x: Gf4Word, y: Gf4Word) -> int:
-    """Trace inner product sum_i Tr(x_i * conj(y_i)), in GF(2).
+    """Trace inner product sum_i Tr(x_i * conj(y_i)), in GF(2): the trace
+    of the Hermitian product, since the trace is additive.
 
     A position contributes 1 exactly when the two symbols there are
     distinct nonzero elements.
     """
-    if x.n != y.n:
-        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
-    acc = 0
-    for a, b in zip(x, y):
-        acc ^= TRACE[MUL[a][CONJ[b]]]
-    return acc
+    return TRACE[hermitian_inner(x, y)]

@@ -1,6 +1,6 @@
 """The two Hermitian self-dual (10, 2^10, 4) codes over GF(4).
 
-Provides their GF(2)-basis generator matrices, full 1024-codeword tables
+Provides their generator matrices (five GF(4) rows), 1024-codeword tables
 with weight distributions, the order-5760 monomial symmetry group of the
 first code (block permutations x even intra-block swaps x nonzero
 scalars), and the classification of its 1023 nonzero codewords into
@@ -18,24 +18,19 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .gf4 import MUL, Gf4Word, InternalInvariantError, packed, trace_inner, word_weight, xor_span
+from .gf4 import MUL, Gf4Word, InternalInvariantError, hermitian_inner, packed, word_weight, xor_span
 
 N = 10
 CODE_SIZE = 1 << N  # 2^10 GF(2)-linear combinations
 
-# GF(2)-basis rows: the first five generate the code over GF(4), rows
-# 6..10 are their w-multiples.  Symbols 0,1,2,3 = 0,1,w,W.
+# GF(4)-basis rows as printed; the GF(2)-basis adds their w-multiples.
+# Symbols 0,1,2,3 = 0,1,w,W.
 _E10_ROWS = (
     (1, 1, 1, 1, 0, 0, 0, 0, 0, 0),
     (0, 0, 1, 1, 1, 1, 0, 0, 0, 0),
     (0, 0, 0, 0, 1, 1, 1, 1, 0, 0),
     (0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
     (1, 0, 1, 0, 1, 0, 1, 0, 2, 3),
-    (2, 2, 2, 2, 0, 0, 0, 0, 0, 0),
-    (0, 0, 2, 2, 2, 2, 0, 0, 0, 0),
-    (0, 0, 0, 0, 2, 2, 2, 2, 0, 0),
-    (0, 0, 0, 0, 0, 0, 2, 2, 2, 2),
-    (2, 0, 2, 0, 2, 0, 2, 0, 3, 1),
 )
 
 _B10_ROWS = (
@@ -44,36 +39,31 @@ _B10_ROWS = (
     (0, 0, 0, 0, 0, 1, 1, 1, 1, 0),
     (0, 0, 0, 0, 0, 0, 1, 2, 3, 1),
     (0, 1, 3, 2, 0, 0, 1, 3, 2, 0),
-    (2, 2, 2, 2, 0, 0, 0, 0, 0, 0),
-    (0, 2, 3, 1, 2, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 2, 2, 2, 2, 0),
-    (0, 0, 0, 0, 0, 0, 2, 3, 1, 2),
-    (0, 2, 1, 3, 0, 0, 2, 1, 3, 0),
 )
 
 
 @dataclass(frozen=True)
 class QuaternaryGeneratorMatrix:
-    """GF(2)-basis of a self-dual additive (10, 2^10) code over GF(4)."""
+    """Five GF(4)-basis rows of a Hermitian self-dual linear code, which
+    is a self-dual additive (10, 2^10) code over GF(4)."""
 
     name: str
-    rows: tuple[Gf4Word, ...]
+    linear_rows: tuple[Gf4Word, ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != N:
-            raise ValueError(f"expected {N} rows, got {len(self.rows)}")
-        for i in range(5):
-            if self.rows[5 + i].bits != self.rows[i].scaled(2).bits:
-                raise ValueError(f"row {6 + i} is not w times row {i + 1}")
-        for i, x in enumerate(self.rows):
-            for y in self.rows[i:]:
-                if trace_inner(x, y):
+        if len(self.linear_rows) != 5 or any(r.n != N for r in self.linear_rows):
+            raise ValueError(f"{self.name}: expected 5 rows of {N} symbols")
+        # Hermitian orthogonality of these rows is trace orthogonality of
+        # `rows`: Tr(h) = Tr(w^2 h) = 0 forces h = 0.
+        for i, x in enumerate(self.linear_rows):
+            for y in self.linear_rows[i:]:
+                if hermitian_inner(x, y):
                     raise ValueError(f"{self.name}: rows not self-orthogonal")
 
-    @property
-    def linear_rows(self) -> tuple[Gf4Word, ...]:
-        """The first five rows: a GF(4)-basis of the underlying linear code."""
-        return self.rows[:5]
+    @functools.cached_property
+    def rows(self) -> tuple[Gf4Word, ...]:
+        """GF(2)-basis: the five rows, then their w-multiples."""
+        return self.linear_rows + tuple(r.scaled(2) for r in self.linear_rows)
 
 
 @dataclass(frozen=True)
@@ -96,10 +86,7 @@ def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
     word_set = frozenset(words)
     if len(word_set) != CODE_SIZE:
         raise ValueError(f"{matrix.name}: rows are GF(2)-dependent")
-    dist: dict[int, int] = {}
-    for bits in words:
-        wt = word_weight(bits, N)
-        dist[wt] = dist.get(wt, 0) + 1
+    dist = dict(Counter(word_weight(bits, N) for bits in words))
     return CodeTable(matrix.name, words, word_set, dist)
 
 
@@ -146,12 +133,13 @@ class MonomialSymmetry:
     scalar: int
 
     def __post_init__(self) -> None:
-        if sorted(self.block_perm) != list(range(NUM_BLOCKS)):
-            raise ValueError(f"bad block permutation {self.block_perm}")
+        perm = self.block_perm
+        if not all(type(b) is int for b in perm) or sorted(perm) != list(range(NUM_BLOCKS)):
+            raise ValueError(f"bad block permutation {perm}")
         if len(self.swaps) != NUM_BLOCKS or not set(self.swaps) <= {0, 1} or sum(self.swaps) % 2:
             raise ValueError(f"swaps must be {NUM_BLOCKS} booleans, an even number of them true")
-        if self.scalar not in (1, 2, 3):
-            raise ValueError(f"scalar must be nonzero, got {self.scalar}")
+        if type(self.scalar) is not int or self.scalar not in (1, 2, 3):
+            raise ValueError(f"scalar must be the int 1, 2 or 3, got {self.scalar!r}")
 
     def apply_bits(self, bits: int) -> int:
         mulrow = MUL[self.scalar]
@@ -224,25 +212,25 @@ def orbit_lookup() -> dict[int, int]:
     under the full symmetry group.
 
     The expansion must tile the 1023 nonzero E10 codewords exactly once:
-    an image outside E10, an overlap between types or a shortfall in the
-    total is a hard error, so a successful build verifies the paper's
-    eight types.
+    an orbit whose size is not its printed count, an image outside E10, or
+    a union or a sum of the counts other than 1023 (two types that meet,
+    or a missing type) is a hard error, so a successful build verifies the
+    paper's eight types.
     """
     codewords = e10_table().word_set
     lookup: dict[int, int] = {}
     for typ in ORBIT_TYPES:
         rep = typ.representative.bits
-        for sym in full_symmetry_group():
-            image = sym.apply_bits(rep)
-            if image not in codewords:
-                raise InternalInvariantError(f"type {typ.type_id} reaches {image:#x}, not in E10")
-            prev = lookup.setdefault(image, typ.type_id)
-            if prev != typ.type_id:
-                raise InternalInvariantError(
-                    f"orbit overlap: word in types {prev} and {typ.type_id}"
-                )
-    if len(lookup) != CODE_SIZE - 1:
-        raise InternalInvariantError(f"orbits cover {len(lookup)} words, want 1023")
+        orbit = dict.fromkeys([sym.apply_bits(rep) for sym in full_symmetry_group()], typ.type_id)
+        if len(orbit) != typ.expected_count:
+            raise InternalInvariantError(
+                f"type {typ.type_id} has {len(orbit)} words, want {typ.expected_count}")
+        if not orbit.keys() <= codewords:
+            raise InternalInvariantError(
+                f"type {typ.type_id} reaches {min(orbit.keys() - codewords):#x}, not in E10")
+        lookup.update(orbit)
+    if not len(lookup) == CODE_SIZE - 1 == sum(t.expected_count for t in ORBIT_TYPES):
+        raise InternalInvariantError(f"orbits cover {len(lookup)} words, want 1023 each once")
     return lookup
 
 

@@ -120,6 +120,9 @@ def test_word_parsing_and_formatting():
         Gf4Word.from_string("10101001wX")
     with pytest.raises(ValueError):
         Gf4Word.from_string("101", 10)
+    # A float equal to a symbol would fail later, as a shift.
+    with pytest.raises(ValueError, match="not in GF"):
+        Gf4Word.from_symbols([1.0])
 
 
 def test_word_addition_and_scaling():

@@ -123,6 +123,52 @@ def test_private_name_check_sees_an_unread_name(tmp_path):
     assert _unread_private_names([module]) == ["m.py:2 _TABLE", "m.py:6 _Orphan"]
 
 
+def _is_dataclass_decorator(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def _unread_dataclass_fields(paths):
+    """Fields of module-level dataclasses in paths that no module in paths
+    reads as an attribute."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+            for path, tree in trees.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass_decorator, cls.decorator_list))
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read]
+
+
+def test_every_dataclass_field_is_read():
+    # A field that nothing in the package reads is a fact stored and never
+    # used, or a check that was meant to be made and is not.
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) >= 8
+    unread = _unread_dataclass_fields(paths)
+    assert not unread, unread
+
+
+def test_dataclass_field_check_sees_an_unread_field(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import dataclasses\n"
+                      "from dataclasses import dataclass\n"
+                      "@dataclass(frozen=True)\n"
+                      "class A:\n"
+                      "    x: int\n"
+                      "    y: int\n"
+                      "@dataclasses.dataclass\n"
+                      "class B:\n"
+                      "    z: int\n"
+                      "class C:\n"
+                      "    w: int\n"
+                      "def f(a):\n"
+                      "    a.y = a.w\n"
+                      "    return a.x\n")
+    assert _unread_dataclass_fields([module]) == ["m.py:6 A.y", "m.py:9 B.z"]
+
+
 # Imports a module in a fresh interpreter, runs the CLI on the remaining
 # arguments if there are any, and prints the exit code and whether numpy
 # got loaded.

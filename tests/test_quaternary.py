@@ -9,6 +9,7 @@ from sd40.quaternary import (
     ORBIT_TYPES,
     MonomialSymmetry,
     OrbitType,
+    QuaternaryGeneratorMatrix,
     b10_matrix,
     classify_type,
     e10_matrix,
@@ -69,12 +70,26 @@ def test_closure_under_addition(e10):
 
 
 def test_rank_deficiency_rejected():
-    # Structurally valid rows whose GF(2)-span is smaller than 2^10.
-    m = e10_matrix()
-    lin = m.rows[:4] + (m.rows[0] + m.rows[1],)
-    bad = type(m)("bad", lin + tuple(r.scaled(2) for r in lin))
+    # Self-orthogonal rows whose GF(2)-span is smaller than 2^10.
+    lin = e10_matrix().linear_rows
+    bad = QuaternaryGeneratorMatrix("bad", lin[:4] + (lin[0] + lin[1],))
     with pytest.raises(ValueError):
         enumerate_code(bad)
+
+
+def test_rows_that_are_not_self_orthogonal_rejected():
+    # 1000000000 has Hermitian product 1 with itself and with row 1.
+    lin = e10_matrix().linear_rows[:4] + (Gf4Word.from_string("1000000000"),)
+    with pytest.raises(ValueError, match="not self-orthogonal"):
+        QuaternaryGeneratorMatrix("bad", lin)
+
+
+def test_generator_rows_are_five_words_of_length_ten():
+    # Longer rows would enumerate, with weights counted over 10 symbols.
+    lin = e10_matrix().linear_rows
+    for rows in (lin[:4], lin + lin[:1], tuple(Gf4Word(r.bits, 12) for r in lin)):
+        with pytest.raises(ValueError, match="expected 5 rows of 10 symbols"):
+            QuaternaryGeneratorMatrix("bad", rows)
 
 
 def test_symmetry_validation():
@@ -84,6 +99,11 @@ def test_symmetry_validation():
         MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 0)
     with pytest.raises(ValueError):
         MonomialSymmetry((0, 0, 2, 3, 4), (False,) * 5, 1)
+    # Floats equal to valid ints would fail later, as a shift or an index.
+    with pytest.raises(ValueError):
+        MonomialSymmetry((0.0, 1, 2, 3, 4), (False,) * 5, 1)
+    with pytest.raises(ValueError):
+        MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 2.0)
     # Swaps are five booleans: a sum of 2 is not two swapped blocks.
     for swaps in ((2, 0, 0, 0, 0), (0.5, 0.5, 1, 0, 0), (True, True)):
         with pytest.raises(ValueError):
@@ -144,6 +164,39 @@ def test_orbit_lookup_rejects_an_image_outside_e10(monkeypatch):
     orbit_lookup.cache_clear()
     try:
         with pytest.raises(InternalInvariantError, match="type 1"):
+            orbit_lookup()
+    finally:
+        monkeypatch.undo()
+        orbit_lookup.cache_clear()
+    assert orbit_census() == EXPECTED_CENSUS
+
+
+def test_orbit_lookup_checks_the_printed_orbit_sizes(monkeypatch):
+    # The true type-1 orbit has 30 words; a count of 31 must be refused
+    # even though every image is an E10 codeword.
+    bad = OrbitType(1, ORBIT_TYPES[0].representative, 31, 4)
+    monkeypatch.setattr(quaternary, "ORBIT_TYPES", (bad, *ORBIT_TYPES[1:]))
+    orbit_lookup.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="type 1 has 30 words, want 31"):
+            orbit_lookup()
+    finally:
+        monkeypatch.undo()
+        orbit_lookup.cache_clear()
+    assert orbit_census() == EXPECTED_CENSUS
+
+
+@pytest.mark.parametrize("types", [
+    # Type 1's words again in place of type 4's: the orbits cover 1008.
+    ORBIT_TYPES[:3] + (OrbitType(4, ORBIT_TYPES[0].representative, 30, 4),) + ORBIT_TYPES[4:],
+    # A ninth type repeating type 1: the orbits cover 1023, the counts sum to 1053.
+    ORBIT_TYPES + (OrbitType(9, ORBIT_TYPES[0].representative, 30, 4),),
+])
+def test_orbit_lookup_rejects_types_that_meet(monkeypatch, types):
+    monkeypatch.setattr(quaternary, "ORBIT_TYPES", types)
+    orbit_lookup.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError):
             orbit_lookup()
     finally:
         monkeypatch.undo()
