@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass
 
 from .gf4 import Gf4Word, xor_span_array
-from .projection import N_BITS, N_COLS
+from .projection import N_BITS, N_COLS, parse_bit_rows
 from .quaternary import QuaternaryGeneratorMatrix, b10_matrix, e10_matrix
 
 DIMENSION = 20
@@ -58,22 +58,15 @@ def build_e_c() -> int:
 
 
 def row_reduce(rows) -> tuple[int, ...]:
-    """Reduced row-echelon basis over GF(2), pivots left to right.
-
-    Deterministic: the same span always yields the same row list.
-    """
+    """Reduced row-echelon basis over GF(2), pivots left to right; it is
+    unique to the span.  The basis stays reduced as each row arrives."""
     basis: list[int] = []
     for row in rows:
         for b in basis:
             row = min(row, row ^ b)
         if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    # Back-substitute so each pivot appears in exactly one row.
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            if i != j and basis[j] & (1 << (basis[i].bit_length() - 1)):
-                basis[j] ^= basis[i]
+            top = 1 << (row.bit_length() - 1)
+            basis = [b ^ row if b & top else b for b in basis] + [row]
     return tuple(sorted(basis, reverse=True))
 
 
@@ -124,7 +117,7 @@ class BinaryGeneratorMatrix:
 
 
 def _lift(matrix: QuaternaryGeneratorMatrix, extra: tuple[int, ...], name: str) -> BinaryGeneratorMatrix:
-    return BinaryGeneratorMatrix(name, row_reduce([binmap(r) for r in matrix.rows] + list(extra)))
+    return BinaryGeneratorMatrix(name, tuple(binmap(r) for r in matrix.rows) + extra)
 
 
 def rho_a(matrix: QuaternaryGeneratorMatrix) -> BinaryGeneratorMatrix:
@@ -220,15 +213,7 @@ _PRINTED_DE_ROWS = (
 
 def parse_matrix_text(text: str) -> tuple[int, ...]:
     """Parse 20 lines of 40 characters over {0,1}."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != DIMENSION:
-        raise ValueError(f"expected {DIMENSION} rows, got {len(lines)}")
-    rows = []
-    for k, ln in enumerate(lines, 1):
-        if len(ln) != N_BITS or set(ln) - {"0", "1"}:
-            raise ValueError(f"row {k} is not a {N_BITS}-character bit string")
-        rows.append(int(ln, 2))
-    return tuple(rows)
+    return parse_bit_rows(text, DIMENSION, N_BITS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -260,5 +245,5 @@ def c40_de_b10() -> BinaryGeneratorMatrix:
 
 
 def same_span(a: BinaryGeneratorMatrix, b: BinaryGeneratorMatrix) -> bool:
-    """Mutual membership of all rows both ways."""
-    return all(b.contains(r) for r in a.rows) and all(a.contains(r) for r in b.rows)
+    """Equal reduced bases, since the reduced basis of a span is unique."""
+    return a.reduced == b.reduced

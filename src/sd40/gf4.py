@@ -128,8 +128,8 @@ class Gf4Word:
     def __post_init__(self) -> None:
         # Bits above 2n would be invisible to printing yet count for
         # equality, so a word holds exactly n symbols.
-        if self.n < 0 or not 0 <= self.bits < 1 << (2 * self.n):
-            raise ValueError(f"bits {self.bits:#x} do not pack {self.n} GF(4) symbols")
+        if type(self.bits) is not int or self.n < 0 or not 0 <= self.bits < 1 << (2 * self.n):
+            raise ValueError(f"bits {self.bits!r} do not pack {self.n} GF(4) symbols")
 
     @classmethod
     def from_symbols(cls, symbols: Iterable[int], n: int | None = None) -> "Gf4Word":
@@ -191,11 +191,11 @@ class Gf4Word:
 def packed(word: Gf4Word | int, n: int) -> int:
     """The packed bits of an n-symbol word given as a Gf4Word or as its
     bits; anything but n symbols is a ValueError."""
-    if isinstance(word, Gf4Word):
-        if word.n == n:
-            return word.bits
-    elif 0 <= word < 1 << (2 * n):
-        return word
+    if type(word) is int:  # first: ints are the hot path's input
+        if 0 <= word < 1 << (2 * n):
+            return word
+    elif isinstance(word, Gf4Word) and word.n == n:
+        return word.bits
     raise ValueError(f"{word!r} is not a packed {n}-symbol word")
 
 

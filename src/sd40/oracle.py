@@ -41,15 +41,9 @@ class OracleTable:
 
     @functools.cached_property
     def words(self):
-        """All 2^20 codewords, packed as uint64 in Gray-code order: words[i]
-        is the XOR of the rows at the set bits of i ^ (i >> 1), so
-        consecutive entries differ in one row.  That is the span of the
-        row differences r_j ^ r_(j-1) (r_(-1) = 0) at i."""
-        return xor_span_array([r ^ prev for r, prev in zip(self.rows, (0,) + self.rows)])
-
-    @functools.cached_property
-    def word_set(self) -> frozenset[int]:
-        return frozenset(self.words.tolist())
+        """All 2^20 codewords as a uint64 array: words[i] is the XOR of the
+        rows at the set bits of i, the order `certify` reads."""
+        return xor_span_array(self.rows)
 
     @functools.cached_property
     def leader_index(self) -> dict[int, int]:

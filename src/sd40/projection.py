@@ -145,7 +145,8 @@ def lift(
 
     Returns the rewritten word and the 1-based flipped coordinates.
     Raises LiftError when no rewrite exists within max_flips, and
-    ValueError when v is not a 40-bit word or a parity is not 0 or 1.
+    ValueError when v is not a 40-bit word, a parity is not 0 or 1 or
+    max_flips is not an int.
     A caller that has read v already passes front, the packed projection
     of v in bits 0-19 and its column parities (as parity_profile gives
     them) from bit 20, and a packed y_corrected; lift then neither reads
@@ -155,6 +156,8 @@ def lift(
         front, y_corrected = parity_profile(v) << 20 | proj_bits(v), packed(y_corrected, N_COLS)
     if column_parity not in (0, 1) or top_row_parity not in (0, 1):
         raise ValueError(f"parities must be 0 or 1, got {column_parity} and {top_row_parity}")
+    if type(max_flips) is not int:
+        raise ValueError(f"flip budget {max_flips!r} is not an int")
     wrong_value = (front & _PROJ_MASK) ^ y_corrected
     wrong_parity = (front >> (2 * N_COLS)) ^ ((1 << N_COLS) - 1 if column_parity else 0)
     # Bit 2i is set when column i+1 must be rewritten.
@@ -209,15 +212,20 @@ def format_array_text(v: int) -> str:
                    + "\n" for row in range(4))
 
 
-def parse_array_text(text: str) -> int:
+def parse_bit_rows(text: str, count: int, width: int) -> tuple[int, ...]:
+    """The non-blank lines of text, stripped, read as binary ints: there
+    must be count of them, each width characters over {0,1}."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 4:
-        raise ValueError(f"expected 4 rows, got {len(lines)}")
-    v = 0
-    for row, ln in enumerate(lines):
-        if len(ln) != N_COLS or set(ln) - {"0", "1"}:
-            raise ValueError(f"row {row + 1} is not a {N_COLS}-character bit string")
-        for c, ch in enumerate(ln, 1):
-            if ch == "1":
-                v |= 1 << (4 * (N_COLS - c) + (3 - row))
-    return v
+    if len(lines) != count:
+        raise ValueError(f"expected {count} rows, got {len(lines)}")
+    for k, ln in enumerate(lines, 1):
+        if len(ln) != width or set(ln) - {"0", "1"}:
+            raise ValueError(f"row {k} is not a {width}-character bit string")
+    return tuple(int(ln, 2) for ln in lines)
+
+
+def parse_array_text(text: str) -> int:
+    """Inverse of format_array_text: bit j of row r is bit 4j + 3 - r."""
+    rows = parse_bit_rows(text, 4, N_COLS)
+    return sum((bits >> j & 1) << (4 * j + 3 - r)
+               for r, bits in enumerate(rows) for j in range(N_COLS))

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from sd40 import constructions
 from sd40.constructions import (
     BinaryGeneratorMatrix,
     b10_matrix,
@@ -7,7 +10,9 @@ from sd40.constructions import (
     build_d4n0,
     build_e_b,
     build_e_c,
+    c40_de,
     c40_de_b10,
+    c40_se,
     certify,
     d4_block,
     e10_matrix,
@@ -72,8 +77,44 @@ def test_row_reduce_deterministic_and_idempotent():
     assert row_reduce(reversed(rows)) == basis
 
 
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=16), st.randoms(use_true_random=False))
+def test_row_reduce_is_the_reduced_basis_of_the_span(rows, rnd):
+    basis = row_reduce(rows)
+    pivots = [b.bit_length() - 1 for b in basis]
+    # Pivots strictly decrease, and each one is set in its own row only.
+    assert all(p > q >= 0 for p, q in zip(pivots, pivots[1:]))
+    assert all((b >> p) & 1 == (i == j) for i, p in enumerate(pivots) for j, b in enumerate(basis))
+    # Every input row lies in the span of the basis.
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        assert row == 0
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert row_reduce(shuffled) == basis
+
+
 def test_rho_b_is_the_printed_code(de_matrix):
     assert same_span(de_matrix, printed_de_matrix())
+
+
+def test_same_span_tells_different_codes_apart():
+    # The DE and SE codes share 19 generators; rho_A(E10) holds the
+    # weight-4 blocks that the distance-8 code lacks.
+    assert not same_span(c40_de(), c40_se())
+    assert not same_span(rho_a(e10_matrix()), c40_de())
+
+
+def test_a_lift_is_reduced_once(monkeypatch):
+    calls = []
+    real = constructions.row_reduce
+    monkeypatch.setattr(constructions, "row_reduce", lambda rows: calls.append(1) or real(rows))
+    lifted = rho_b(e10_matrix())
+    assert len(calls) == 1  # the rank check; `reduced` is then cached
+    assert lifted.reduced == row_reduce(lifted.rows)
+    # The generator rows are kept in construction order: the images of
+    # E10's ten GF(2)-basis rows come first.
+    assert c40_de().rows[:10] == tuple(binmap(r) for r in e10_matrix().rows)
 
 
 def test_rho_c_is_the_printed_se_code(se_matrix):

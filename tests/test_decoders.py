@@ -546,6 +546,10 @@ def test_budget_argument_checks():
             dc.solve_syndrome(Gf4Word(0, 5), erasures, max_errors)
     # A list of erasure columns is accepted like a tuple.
     assert dc.find_closest_in_e10(y, [3, 7], 0) == y.bits
+    # The lift's flip budget is an int too: 2.5 would pass as 2.
+    for budget in (2.5, 3.0):
+        with pytest.raises(ValueError, match="budget"):
+            lift(0, 0, 0, 0, max_flips=budget)
 
 
 def test_represent_decode_reads_only_e10():
@@ -574,6 +578,9 @@ def test_projection_domain(y):
 # A stage takes a 10-symbol projection or a 5-symbol syndrome, as a word
 # or as its bits, and a word of another length is an error, not a shorter
 # or longer word read as one.  gf4.packed makes that check for every stage.
+# A float is no word either, even one equal to an int: packed(1.0, 10)
+# must not hand 1.0 on to the first XOR, nor solve_syndrome(0.0) quietly
+# answer for the zero syndrome.
 WRONG_LENGTH = {
     "syndrome-1": (dc.syndrome, Gf4Word.from_string("1")),
     "syndrome-11": (dc.syndrome, Gf4Word(0, 11)),
@@ -592,6 +599,12 @@ WRONG_LENGTH = {
     "packed-5-int": (gf4.packed, 1 << 10, 5),
     "packed-10-word": (gf4.packed, Gf4Word(0, 5), 10),
     "packed-10-int": (gf4.packed, 1 << 20, 10),
+    "packed-float": (gf4.packed, 1.0, 10),
+    "syndrome-float": (dc.syndrome, 2.0),
+    "solve_syndrome-float": (dc.solve_syndrome, 0.0),
+    "find_closest_in_e10-float": (dc.find_closest_in_e10, 1.0),
+    "lift-float": (lift, 0, 0.0, 0, 0),
+    "Gf4Word-float": (Gf4Word, 1.0),
 }
 
 

@@ -169,6 +169,18 @@ def test_dataclass_field_check_sees_an_unread_field(tmp_path):
     assert _unread_dataclass_fields([module]) == ["m.py:6 A.y", "m.py:9 B.z"]
 
 
+# The package pays for each feature with deletions.  A change that grows
+# src/sd40 raises this constant and says in CHANGES.md why it must.
+SRC_LINE_BUDGET = 1_757
+
+
+def test_package_stays_within_its_line_budget():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) >= 8
+    lines = sum(len(path.read_text().splitlines()) for path in paths)
+    assert lines <= SRC_LINE_BUDGET, f"src/sd40 has {lines} lines, budget {SRC_LINE_BUDGET}"
+
+
 # Imports a module in a fresh interpreter, runs the CLI on the remaining
 # arguments if there are any, and prints the exit code and whether numpy
 # got loaded.

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sd40.constructions import d4_block, printed_de_matrix
-from sd40.gf4 import InternalInvariantError
+from sd40.gf4 import InternalInvariantError, xor_span_array
 from sd40.oracle import (
     OracleTable,
     build_oracle,
@@ -22,7 +23,7 @@ EXAMPLE1_CORRECTED = "0110111110\n1001000010\n0011100111\n0011100100"
 def test_table_basics(de_oracle):
     assert de_oracle.size == 1 << 20
     assert int(de_oracle.words[0]) == 0
-    assert len(de_oracle.word_set) == 1 << 20
+    assert np.unique(de_oracle.words).size == 1 << 20
     nonzero = de_oracle.words[de_oracle.words != 0]
     assert int(np.bitwise_count(nonzero).min()) == 8
 
@@ -117,12 +118,29 @@ def test_received_word_domain(de_oracle, v):
         indexed_decode(v, de_oracle)
 
 
-# Content hashes of the tables in their deterministic enumeration order.
-DE_TABLE_SHA256 = "75583c445563603ba027372573bf37afd5a482b24eac4ad35bd88902041e12cc"
-SE_TABLE_SHA256 = "276683b715a6f35bc90f93d4de3f3f2df3dee17c68a3b435d530ef869a61b77e"
+# Content hashes of the tables in their enumeration order: words[i] is the
+# XOR of the reduced rows at the set bits of i.
+DE_TABLE_SHA256 = "664b67315872cb26b3d51374155333dfc1a977eb4d2223e03cc6ac1c1f6c8395"
+SE_TABLE_SHA256 = "15b0affe1f9d34f816a7a44428a0957e039ddf1e88d8b087ed3489033057f023"
+# Hashes of the sorted tables, pinned when the tables were in Gray-code
+# order: the order changed, the codewords did not.
+DE_SORTED_SHA256 = "a6eca4c9d4f859e1d794da9fc4833686d4e93be4e59f727d8f6d1a560d665f7c"
+SE_SORTED_SHA256 = "70461fa7befb74707141e601a65bbfda7a2c8a4ba73836d9f189f3f18ba7e60e"
+
+
+def _sorted_sha256(table):
+    return hashlib.sha256(np.sort(table.words).astype("<u8").tobytes()).hexdigest()
 
 
 def test_enumeration_order_reproducible(de_matrix, de_oracle, se_oracle):
     again = build_oracle(de_matrix)
     assert words_sha256(again) == words_sha256(de_oracle) == DE_TABLE_SHA256
     assert words_sha256(se_oracle) == SE_TABLE_SHA256
+    assert _sorted_sha256(de_oracle) == DE_SORTED_SHA256
+    assert _sorted_sha256(se_oracle) == SE_SORTED_SHA256
+
+
+def test_words_are_the_span_certify_counts(de_matrix, de_oracle):
+    # One order for the 2^20 span: the oracle lists the reduced rows'
+    # span exactly as certify enumerates it.
+    assert np.array_equal(de_oracle.words, xor_span_array(de_matrix.reduced))
