@@ -13,12 +13,13 @@ error budget per case is
 since unique decoding of the projected word needs 2*errors + erasures
 < 4.  The case is one lookup indexed by the 10-bit column parity vector.
 
-E10 is GF(4)-linear, so the projection search depends on the budget
-(erasure columns, max_errors) and not on the word.  Each of the 187 valid
-budgets gets one lazily built list of the projection error words inside
-it (9,592 in all), and the decoders differ only in how they search it.
-The representation decoder stops at the first listed e with y + e in
-E10: two listed words differ in at most len(erasures) + 2*max_errors <= 3
+The erasure set fixes the budget: k erasures leave room for (3 - k) // 2
+unknown errors.  E10 is GF(4)-linear, so the projection search depends
+on the erasure set and not on the word.  Each of the 176 erasure sets a
+case can give gets one lazily built list of the projection error words
+inside its budget (9,551 in all), and the decoders differ only in how
+they search it.  The representation decoder stops at the first listed e
+with y + e in E10: two listed words differ in at most k + 2*errors <= 3
 symbols and E10 has minimum distance 4, so no second e fits.  The
 syndrome decoder looks s = H conj(y)^T up in a per-budget table from
 syndrome to listed error word, H being the five GF(4)-basis rows of the
@@ -72,12 +73,11 @@ FAILURE_REASON = "more than three errors occurred"
 
 @dataclass(frozen=True)
 class CaseLabel:
-    """Parity case of a received array and its error/erasure budget."""
+    """Parity case of a received array; its erasure columns fix the budget."""
 
     case_id: str  # "I".."IV"
     majority_parity: int
     erasure_columns: tuple[int, ...]  # 1-based minority columns
-    max_errors: int  # unknown-position errors allowed on top of erasures
     parities: int = field(compare=False, repr=False)  # the vector classified
 
     @property
@@ -99,8 +99,7 @@ def _case_table() -> tuple[CaseLabel | None, ...]:
             # The minority columns are the odd ones under an even majority
             # and the even ones under an odd majority.
             for majority, parities in ((0, mask), (1, mask ^ ((1 << N_COLS) - 1))):
-                table[parities] = CaseLabel(case_id, majority, minority,
-                                            1 if k <= 1 else 0, parities)
+                table[parities] = CaseLabel(case_id, majority, minority, parities)
     return tuple(table)
 
 
@@ -142,20 +141,20 @@ class DecodeOutcome:
 
 # Typed, here and in _syndrome_table, so that an erasure 1.0 cannot hit column 1.
 @functools.lru_cache(maxsize=None, typed=True)
-def _budget_patterns(max_errors: int, *erasures: int) -> tuple[int, ...]:
-    """Every projection error word inside the budget: any value (zero
-    included) on each erasure column plus at most max_errors nonzero
-    symbols on the other columns.  An erased position may keep its value
-    because a flipped top-row bit changes a column's parity but not its
-    projection."""
-    if max_errors not in (0, 1) or 2 * max_errors + len(erasures) >= 4:
-        raise ValueError("budget violates unique-decoding bound")
+def _budget_patterns(*erasures: int) -> tuple[int, ...]:
+    """Every projection error word inside the budget of an erasure set:
+    any value (zero included) on each erasure column plus, with fewer
+    than two erasures, at most one nonzero symbol on the other columns.
+    An erased position may keep its value because a flipped top-row bit
+    changes a column's parity but not its projection."""
+    if len(erasures) > 3:
+        raise ValueError(f"{len(erasures)} erasures break the unique-decoding bound")
     if len(set(erasures)) != len(erasures) or not all(
             type(c) is int and 1 <= c <= N_COLS for c in erasures):
         raise ValueError(f"erasures must be distinct int columns 1..{N_COLS}: {erasures}")
     fills = xor_span([val << (2 * (c - 1)) for c in erasures for val in (1, 2)])
     patterns = list(fills)
-    if max_errors:  # the bound leaves room for one error at most
+    if len(erasures) < 2:  # 2*errors + erasures < 4 leaves room for one error
         for c in range(1, N_COLS + 1):
             if c not in erasures:
                 patterns += [f | val << (2 * (c - 1)) for val in (1, 2, 3) for f in fills]
@@ -172,17 +171,12 @@ def _e10_words() -> frozenset[int]:
     return table.word_set
 
 
-def find_closest_in_e10(
-    y: Gf4Word | int,
-    erasures: tuple[int, ...] = (),
-    max_errors: int = 0,
-) -> int | None:
-    """The unique codeword within the (erasures, max_errors) budget of y,
-    or None.  ValueError: y is no 10-symbol projection, max_errors is not
-    0 or 1, an erasure is no int column 1..10, or the budget breaks
-    2*max_errors + len(erasures) < 4.  InternalInvariantError: E10 has a
-    nonzero word of weight below 4."""
-    patterns = _budget_patterns(max_errors, *erasures)
+def find_closest_in_e10(y: Gf4Word | int, erasures: tuple[int, ...] = ()) -> int | None:
+    """The unique codeword within the budget of the erasure set from y, or
+    None.  ValueError: y is no 10-symbol projection, an erasure is no int
+    column 1..10, or there are more than three erasures.
+    InternalInvariantError: E10 has a nonzero word of weight below 4."""
+    patterns = _budget_patterns(*erasures)
     codewords = _e10_words()
     y = packed(y, N_COLS)
     for e in patterns:
@@ -235,10 +229,10 @@ def syndrome(y: Gf4Word | int) -> int:
 
 
 @functools.lru_cache(maxsize=None, typed=True)
-def _syndrome_table(max_errors: int, *erasures: int) -> dict[int, int]:
+def _syndrome_table(*erasures: int) -> dict[int, int]:
     """Packed syndrome -> the packed error word inside the budget that has it."""
     table: dict[int, int] = {}
-    for e in _budget_patterns(max_errors, *erasures):
+    for e in _budget_patterns(*erasures):
         s = _syndrome_bits(e)
         if s in table:
             raise InternalInvariantError(
@@ -248,15 +242,11 @@ def _syndrome_table(max_errors: int, *erasures: int) -> dict[int, int]:
     return table
 
 
-def solve_syndrome(
-    s: Gf4Word | int,
-    erasures: tuple[int, ...] = (),
-    max_errors: int = 0,
-) -> int | None:
-    """The unique packed error word e with s = H conj(e)^T supported on the
-    erasure columns plus at most max_errors further positions, or None.
-    An erased column may carry no projection error."""
-    return _syndrome_table(max_errors, *erasures).get(packed(s, 5))
+def solve_syndrome(s: Gf4Word | int, erasures: tuple[int, ...] = ()) -> int | None:
+    """The unique packed error word e with s = H conj(e)^T inside the
+    budget of the erasure set, or None.  An erased column may carry no
+    projection error."""
+    return _syndrome_table(*erasures).get(packed(s, 5))
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +263,14 @@ def _failure(algorithm: str, case: CaseLabel | None) -> DecodeOutcome:
 def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
     if code not in ("DE", "SE"):
         raise ValueError(f"code must be DE or SE, got {code!r}")
-    if algorithm not in ("representation", "syndrome"):
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     case = classify_case(v)  # rejects v outside [0, 2^40)
     if case is None:
         return _failure(algorithm, None)
     y = proj_bits(v)
     if algorithm == "representation":
-        corrected = find_closest_in_e10(y, case.erasure_columns, case.max_errors)
+        corrected = find_closest_in_e10(y, case.erasure_columns)
     else:
-        err = solve_syndrome(syndrome(y), case.erasure_columns, case.max_errors)
+        err = solve_syndrome(syndrome(y), case.erasure_columns)
         # y + e has syndrome zero, so it is an E10 codeword.
         corrected = None if err is None else y ^ err
     if corrected is None:

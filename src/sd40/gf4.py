@@ -128,7 +128,8 @@ class Gf4Word:
     def __post_init__(self) -> None:
         # Bits above 2n would be invisible to printing yet count for
         # equality, so a word holds exactly n symbols.
-        if type(self.bits) is not int or self.n < 0 or not 0 <= self.bits < 1 << (2 * self.n):
+        if (type(self.bits) is not int or type(self.n) is not int or self.n < 0
+                or not 0 <= self.bits < 1 << (2 * self.n)):
             raise ValueError(f"bits {self.bits!r} do not pack {self.n} GF(4) symbols")
 
     @classmethod
@@ -191,12 +192,13 @@ class Gf4Word:
 def packed(word: Gf4Word | int, n: int) -> int:
     """The packed bits of an n-symbol word given as a Gf4Word or as its
     bits; anything but n symbols is a ValueError."""
-    if type(word) is int:  # first: ints are the hot path's input
-        if 0 <= word < 1 << (2 * n):
-            return word
-    elif isinstance(word, Gf4Word) and word.n == n:
-        return word.bits
-    raise ValueError(f"{word!r} is not a packed {n}-symbol word")
+    if type(n) is int:  # True == 1 and 10.0 == 10, but neither is a length
+        if type(word) is int:  # first: ints are the hot path's input
+            if 0 <= word < 1 << (2 * n):
+                return word
+        elif isinstance(word, Gf4Word) and word.n == n:
+            return word.bits
+    raise ValueError(f"{word!r} is not a packed {n!r}-symbol word")
 
 
 def hermitian_inner(x: Gf4Word, y: Gf4Word) -> int:

@@ -20,10 +20,9 @@ import hashlib
 from dataclasses import dataclass
 from itertools import combinations
 
-from .constructions import N_BITS, BinaryGeneratorMatrix
+from .constructions import BinaryGeneratorMatrix
 from .gf4 import InternalInvariantError, byte_tables, xor_span_array
-
-RADIUS = 3
+from .projection import N_BITS, RADIUS
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from .gf4 import Gf4Word, InternalInvariantError, byte_tables, nonzero_mask, pac
 
 N_BITS = 40
 N_COLS = 10
+# The decoding radius: the most bit flips a lift or an oracle answer makes.
+RADIUS = 3
 
 # Top row of the array: bit 3 of every column nibble.
 TOP_ROW_MASK = int("1000" * N_COLS, 2)
@@ -83,10 +85,10 @@ def proj(v: int) -> Gf4Word:
 
 def candidates_for(value: int, parity: int) -> tuple[int, int]:
     """The two column nibbles with the given projection value and parity."""
-    if value not in (0, 1, 2, 3):
-        raise ValueError(f"symbol must lie in 0..3, got {value}")
-    if parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {parity}")
+    if type(value) is not int or value not in (0, 1, 2, 3):
+        raise ValueError(f"symbol must lie in 0..3, got {value!r}")
+    if type(parity) is not int or parity not in (0, 1):
+        raise ValueError(f"parity must be 0 or 1, got {parity!r}")
     pats = COLUMN_PATTERNS[value]
     return (pats[0], pats[1]) if parity == 0 else (pats[2], pats[3])
 
@@ -130,7 +132,6 @@ def lift(
     y_corrected: Gf4Word | int,
     column_parity: int,
     top_row_parity: int,
-    max_flips: int = 3,
     front: int | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Rewrite columns of v so that its projection becomes y_corrected,
@@ -144,9 +145,8 @@ def lift(
     swap fixes it (complementing a column always toggles its top bit).
 
     Returns the rewritten word and the 1-based flipped coordinates.
-    Raises LiftError when no rewrite exists within max_flips, and
-    ValueError when v is not a 40-bit word, a parity is not 0 or 1 or
-    max_flips is not an int.
+    Raises LiftError when no rewrite exists within RADIUS flips, and
+    ValueError when v is not a 40-bit word or a parity is not 0 or 1.
     A caller that has read v already passes front, the packed projection
     of v in bits 0-19 and its column parities (as parity_profile gives
     them) from bit 20, and a packed y_corrected; lift then neither reads
@@ -154,10 +154,9 @@ def lift(
     """
     if front is None:  # parity_profile first: it checks v, proj_bits does not
         front, y_corrected = parity_profile(v) << 20 | proj_bits(v), packed(y_corrected, N_COLS)
-    if column_parity not in (0, 1) or top_row_parity not in (0, 1):
-        raise ValueError(f"parities must be 0 or 1, got {column_parity} and {top_row_parity}")
-    if type(max_flips) is not int:
-        raise ValueError(f"flip budget {max_flips!r} is not an int")
+    if not (type(column_parity) is int and type(top_row_parity) is int
+            and column_parity in (0, 1) and top_row_parity in (0, 1)):
+        raise ValueError(f"parities must be 0 or 1, got {column_parity!r} and {top_row_parity!r}")
     wrong_value = (front & _PROJ_MASK) ^ y_corrected
     wrong_parity = (front >> (2 * N_COLS)) ^ ((1 << N_COLS) - 1 if column_parity else 0)
     # Bit 2i is set when column i+1 must be rewritten.
@@ -184,8 +183,8 @@ def lift(
             raise LiftError("top-row parity off with no column to rewrite")
         out ^= 0xF << best_shift
         total += 4 - 2 * best_dist
-    if total > max_flips:
-        raise LiftError(f"{total} flips needed, budget is {max_flips}")
+    if total > RADIUS:
+        raise LiftError(f"{total} flips needed, budget is {RADIUS}")
     flips = flip_positions(v ^ out)
     if len(flips) != total:
         raise InternalInvariantError(f"{len(flips)} bits flipped, {total} counted")

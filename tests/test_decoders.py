@@ -97,33 +97,41 @@ def test_case_table_matches_parity_profile():
         assert case.case_id == ("I", "II", "III", "IV")[len(minority)]
         assert case.majority_parity == majority
         assert case.erasure_columns == minority
-        assert case.max_errors == (1 if len(minority) <= 1 else 0)
+
+
+def _errors_allowed(erasures):
+    """The most nonzero symbols off the erasures in any error word of the
+    erasure set's budget."""
+    off = sum(3 << 2 * (c - 1) for c in range(1, 11) if c not in erasures)
+    return max(gf4.word_weight(e & off, 10) for e in dc._budget_patterns(*erasures))
 
 
 def test_case_budgets():
-    assert dc.classify_case(0).max_errors == 1  # case I
+    # The erasure count alone fixes the budget: 2*errors + erasures < 4.
+    case = dc.classify_case(0)
+    assert case.case_id == "I" and _errors_allowed(case.erasure_columns) == 1
     one = 1 << 39
     case = dc.classify_case(one)
-    assert case.case_id == "II" and case.max_errors == 1
+    assert case.case_id == "II" and _errors_allowed(case.erasure_columns) == 1
     assert case.erasure_columns == (1,)
     three = (1 << 39) | (1 << 35) | (1 << 31)
     case = dc.classify_case(three)
-    assert case.case_id == "IV" and case.max_errors == 0
+    assert case.case_id == "IV" and _errors_allowed(case.erasure_columns) == 0
     assert case.erasure_columns == (1, 2, 3)
 
 
 def test_find_closest_examples(e10):
     y1 = Gf4Word.from_string("10101001ww")
-    assert dc.find_closest_in_e10(y1, (), 1) == Gf4Word.from_string("10101001Ww").bits
+    assert dc.find_closest_in_e10(y1) == Gf4Word.from_string("10101001Ww").bits
     row = e10_matrix().rows[4]
-    assert dc.find_closest_in_e10(row, (), 0) == row.bits
+    assert dc.find_closest_in_e10(row, ()) == row.bits
     y3 = Gf4Word.from_string("wwWWww1100")
-    assert dc.find_closest_in_e10(y3, (5, 6), 0) == Gf4Word.from_string("wwWW001100").bits
+    assert dc.find_closest_in_e10(y3, (5, 6)) == Gf4Word.from_string("wwWW001100").bits
     # Distance 2 from the code with no erasures: nothing inside the budget.
     y_far = Gf4Word.from_string("WW11000000")
-    assert dc.find_closest_in_e10(y_far, (), 1) is None
+    assert dc.find_closest_in_e10(y_far) is None
     with pytest.raises(ValueError):
-        dc.find_closest_in_e10(y1, (1, 2), 1)
+        dc.find_closest_in_e10(y1, (1, 2, 3, 4))
 
 
 def test_syndrome_examples(e10):
@@ -157,17 +165,17 @@ def test_parity_check_matrix_columns():
 
 def test_solve_syndrome_examples():
     s1 = Gf4Word.from_string("0001w", 5)
-    assert dc.solve_syndrome(s1, (), 1) == Gf4Word.from_string("0000000010").bits
+    assert dc.solve_syndrome(s1) == Gf4Word.from_string("0000000010").bits
     s2 = Gf4Word.from_string("wW101", 5)
-    assert dc.solve_syndrome(s2, (5,), 1) == Gf4Word.from_string("000W100000").bits
+    assert dc.solve_syndrome(s2, (5,)) == Gf4Word.from_string("000W100000").bits
     s4 = Gf4Word.from_string("0000w", 5)
-    assert dc.solve_syndrome(s4, (2, 5, 6), 0) == Gf4Word.from_string("0000WW0000").bits
-    assert dc.solve_syndrome(Gf4Word(0, 5), (), 1) == 0
+    assert dc.solve_syndrome(s4, (2, 5, 6)) == Gf4Word.from_string("0000WW0000").bits
+    assert dc.solve_syndrome(Gf4Word(0, 5), ()) == 0
     # Two-column syndrome with a no-erasure budget is unsolvable.
     two = dc.syndrome(Gf4Word.from_string("1w00000000"))
-    assert dc.solve_syndrome(two, (), 1) is None
+    assert dc.solve_syndrome(two) is None
     with pytest.raises(ValueError):
-        dc.solve_syndrome(s1, (1, 2, 3), 1)
+        dc.solve_syndrome(s1, (1, 2, 3, 4))
 
 
 def _coord(col, row):
@@ -353,8 +361,8 @@ def test_case_table_is_invariant_under_complementing_the_parities():
         if case is None:
             assert flipped is None, parities
             continue
-        assert (flipped.case_id, flipped.erasure_columns, flipped.max_errors) == (
-            case.case_id, case.erasure_columns, case.max_errors), parities
+        assert (flipped.case_id, flipped.erasure_columns) == (
+            case.case_id, case.erasure_columns), parities
         assert flipped.majority_parity == 1 - case.majority_parity
 
 
@@ -473,11 +481,43 @@ def test_internal_invariant_error_is_one_class():
     assert quaternary.InternalInvariantError is gf4.InternalInvariantError
 
 
-def _valid_budgets():
-    for max_errors, largest in ((0, 3), (1, 1)):
-        for k in range(largest + 1):
-            for erasures in itertools.combinations(range(1, 11), k):
-                yield erasures, max_errors
+def _case_erasure_sets():
+    """The erasure sets the case table hands the search, in a fixed order."""
+    return sorted({case.erasure_columns for case in dc._CASES if case is not None},
+                  key=lambda erasures: (len(erasures), erasures))
+
+
+def test_search_budgets_are_the_case_erasure_sets():
+    # The search accepts exactly the erasure sets a case can give, and each
+    # set's budget is any values on its k erasures plus at most (3 - k) // 2
+    # nonzero symbols elsewhere.  Such a word has weight at most 3, so the
+    # brute force filters the words of weight at most 3 by that rule.
+    sets = _case_erasure_sets()
+    assert sets == [erasures for k in range(4)
+                    for erasures in itertools.combinations(range(1, 11), k)]
+    assert len(sets) == 176
+    light = {}  # word -> its support, bit c-1 for column c
+    for support in range(1 << 10):
+        if support.bit_count() <= 3:
+            cols = [c for c in range(10) if support >> c & 1]
+            for vals in itertools.product((1, 2, 3), repeat=len(cols)):
+                light[sum(v << 2 * c for v, c in zip(vals, cols))] = support
+    assert len(light) == 3_676
+    for erasures in sets:
+        off = (1 << 10) - 1 - sum(1 << (c - 1) for c in erasures)
+        errors = (3 - len(erasures)) // 2
+        brute = sorted(e for e, support in light.items() if (support & off).bit_count() <= errors)
+        assert sorted(dc._budget_patterns(*erasures)) == brute, erasures
+    y = Gf4Word(0, 10)
+    for erasures in [(1, 2, 3, 4), tuple(range(1, 11))]:
+        with pytest.raises(ValueError, match="unique-decoding bound"):
+            dc.find_closest_in_e10(y, erasures)
+        with pytest.raises(ValueError, match="unique-decoding bound"):
+            dc.solve_syndrome(Gf4Word(0, 5), erasures)
+    # No caller sets an error count: the erasure set is the whole budget.
+    for search in (dc.find_closest_in_e10, dc.solve_syndrome):
+        with pytest.raises(TypeError):
+            search(0, (), 0)
 
 
 @pytest.mark.sweep
@@ -495,23 +535,22 @@ def test_budget_tables_agree_on_every_syndrome(e10):
             break
     assert len(reps) == 1024
     assert dc._e10_words() == e10.word_set
-    budgets = list(_valid_budgets())
-    assert len(budgets) == 187
-    assert sum(len(dc._budget_patterns(max_errors, *erasures))
-               for erasures, max_errors in budgets) == 9_592
-    for erasures, max_errors in budgets:
-        patterns = dc._budget_patterns(max_errors, *erasures)
-        assert dc._syndrome_table(max_errors, *erasures) == {
+    budgets = _case_erasure_sets()
+    assert len(budgets) == 176
+    assert sum(len(dc._budget_patterns(*erasures)) for erasures in budgets) == 9_551
+    for erasures in budgets:
+        patterns = dc._budget_patterns(*erasures)
+        assert dc._syndrome_table(*erasures) == {
             dc.syndrome(e): e for e in patterns}
         for s, y in reps.items():
-            closest = dc.find_closest_in_e10(Gf4Word(y, 10), erasures, max_errors)
-            assert dc.find_closest_in_e10(y, erasures, max_errors) == closest
-            err = dc.solve_syndrome(Gf4Word(s, 5), erasures, max_errors)
-            assert dc.solve_syndrome(dc.syndrome(y), erasures, max_errors) == err
+            closest = dc.find_closest_in_e10(Gf4Word(y, 10), erasures)
+            assert dc.find_closest_in_e10(y, erasures) == closest
+            err = dc.solve_syndrome(Gf4Word(s, 5), erasures)
+            assert dc.solve_syndrome(dc.syndrome(y), erasures) == err
             if closest is None:
-                assert err is None, (erasures, max_errors, s)
+                assert err is None, (erasures, s)
             else:
-                assert closest == y ^ err, (erasures, max_errors, s)
+                assert closest == y ^ err, (erasures, s)
                 assert closest in e10.word_set
 
 
@@ -524,32 +563,26 @@ def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
     dc._e10_words.cache_clear()
     try:
         with pytest.raises(dc.InternalInvariantError):
-            dc.find_closest_in_e10(0, (), 1)
+            dc.find_closest_in_e10(0)
         with pytest.raises(dc.InternalInvariantError):
             dc.represent_decode(0)
     finally:
         dc._e10_words.cache_clear()
     monkeypatch.undo()
-    assert dc.find_closest_in_e10(0, (), 1) == 0
+    assert dc.find_closest_in_e10(0) == 0
 
 
 def test_budget_argument_checks():
     y = Gf4Word(0, 10)
-    # Half an error would add the one-error words to a two-erasure budget;
-    # the erasure 1.0 equals column 1, so it must not reach that budget's cache.
-    dc.find_closest_in_e10(y, (1,), 0)
-    for erasures, max_errors in (((1, 1), 0), ((0,), 0), ((11,), 1), ((), -1),
-                                 ((1, 2), 0.5), ((1.0,), 0)):
+    # The erasure 1.0 equals column 1, so it must not reach that budget's cache.
+    dc.find_closest_in_e10(y, (1,))
+    for erasures in ((1, 1), (0,), (11,), (1.0,)):
         with pytest.raises(ValueError):
-            dc.find_closest_in_e10(y, erasures, max_errors)
+            dc.find_closest_in_e10(y, erasures)
         with pytest.raises(ValueError):
-            dc.solve_syndrome(Gf4Word(0, 5), erasures, max_errors)
+            dc.solve_syndrome(Gf4Word(0, 5), erasures)
     # A list of erasure columns is accepted like a tuple.
-    assert dc.find_closest_in_e10(y, [3, 7], 0) == y.bits
-    # The lift's flip budget is an int too: 2.5 would pass as 2.
-    for budget in (2.5, 3.0):
-        with pytest.raises(ValueError, match="budget"):
-            lift(0, 0, 0, 0, max_flips=budget)
+    assert dc.find_closest_in_e10(y, [3, 7]) == y.bits
 
 
 def test_represent_decode_reads_only_e10():
@@ -568,7 +601,7 @@ def test_projection_domain(y):
     with pytest.raises(ValueError):
         dc.syndrome(y)
     with pytest.raises(ValueError):
-        dc.find_closest_in_e10(y, (), 1)
+        dc.find_closest_in_e10(y)
     with pytest.raises(ValueError):
         dc.syndrome(Gf4Word(y, 10))
     top = (1 << 20) - 1
@@ -584,7 +617,7 @@ def test_projection_domain(y):
 WRONG_LENGTH = {
     "syndrome-1": (dc.syndrome, Gf4Word.from_string("1")),
     "syndrome-11": (dc.syndrome, Gf4Word(0, 11)),
-    "solve_syndrome-10": (dc.solve_syndrome, Gf4Word(1, 10), (), 1),
+    "solve_syndrome-10": (dc.solve_syndrome, Gf4Word(1, 10)),
     "solve_syndrome-4": (dc.solve_syndrome, Gf4Word(0, 4)),
     "solve_syndrome-int": (dc.solve_syndrome, 1 << 10),
     "find_closest_in_e10-5": (dc.find_closest_in_e10, Gf4Word.from_string("11110")),
@@ -605,6 +638,11 @@ WRONG_LENGTH = {
     "find_closest_in_e10-float": (dc.find_closest_in_e10, 1.0),
     "lift-float": (lift, 0, 0.0, 0, 0),
     "Gf4Word-float": (Gf4Word, 1.0),
+    # Nor is a bool or a float a length: True == 1 and 10.0 == 10.
+    "Gf4Word-n-bool": (Gf4Word, 3, True),
+    "Gf4Word-n-float": (Gf4Word, 0, 10.0),
+    "packed-n-bool": (gf4.packed, 0, True),
+    "packed-n-float": (gf4.packed, 0, 10.0),
 }
 
 

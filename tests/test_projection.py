@@ -89,14 +89,15 @@ def test_lift_tie_rules():
     # swapped to its complement, costing 4 - 2*2 = 0 extra flips.
     word, flips = lift(v, 0, 0, 1)
     assert word == 0xF << 36 and flips == (1, 4)
-    # Two columns at distance 2 and one at distance 1: the swap goes to
-    # the lowest-index column among the farthest.
+    # Two columns at distance 2 and one at distance 1, with the swap: 5
+    # flips, over the radius.  Within 3 flips a swap never has two farthest
+    # columns to choose between.
     v = (0x6 << 36) | (0x6 << 28) | (0x1 << 20)
-    word, flips = lift(v, 0, 0, 1, max_flips=5)
-    assert word == 0xF << 36 and flips == (1, 4, 10, 11, 20)
+    with pytest.raises(LiftError, match="5 flips needed"):
+        lift(v, 0, 0, 1)
 
 
-def _reference_lift(v, target, column_parity, top_row_parity, max_flips=3):
+def _reference_lift(v, target, column_parity, top_row_parity):
     """The column-by-column rewrite: visit all ten columns, take the nearer
     candidate (the first on a tie), then swap the farthest, lowest-index
     rewritten column if the top row is off."""
@@ -117,7 +118,7 @@ def _reference_lift(v, target, column_parity, top_row_parity, max_flips=3):
         col = max(picks, key=lambda c: (dists[c], -c))
         out ^= 0xF << (4 * (10 - col))
         total += 4 - 2 * dists[col]
-    if total > max_flips:
+    if total > 3:
         return None
     return out, tuple(i for i in range(1, 41) if (v ^ out) >> (40 - i) & 1)
 
@@ -130,7 +131,7 @@ def test_lift_matches_column_loop():
         # Targets near proj(v) reach the accepting branch, random ones the
         # rejecting one.
         target = proj_bits(v) ^ rng.choice([0, rng.getrandbits(20), 1 << 2 * rng.randrange(10)])
-        args = (v, target, rng.randrange(2), rng.randrange(2), rng.choice([3, 40]))
+        args = (v, target, rng.randrange(2), rng.randrange(2))
         want = _reference_lift(*args)
         # A decoder hands lift the front it has read; both forms must agree.
         for front in ({}, {"front": proj_bits(v) | parity_profile(v) << 20}):
@@ -268,8 +269,10 @@ def test_lift_budget_exceeded():
 BAD_ARRAY_ARGUMENTS = {
     "candidates_for-parity-2": (candidates_for, 1, 2, "parity must be 0 or 1, got 2"),
     "candidates_for-parity--1": (candidates_for, 1, -1, "parity must be 0 or 1, got -1"),
+    "candidates_for-parity-1.0": (candidates_for, 1, 1.0, "parity must be 0 or 1, got 1.0"),
     "candidates_for-symbol-4": (candidates_for, 4, 0, "symbol must lie in 0..3, got 4"),
     "candidates_for-symbol--1": (candidates_for, -1, 0, "symbol must lie in 0..3, got -1"),
+    "candidates_for-symbol-1.0": (candidates_for, 1.0, 0, "symbol must lie in 0..3, got 1.0"),
     "column_nibble-0": (column_nibble, 1, 0, "column must lie in 1..10, got 0"),
     "column_nibble-11": (column_nibble, 1, 11, "column must lie in 1..10, got 11"),
 }
@@ -282,7 +285,8 @@ def test_array_layer_rejects_arguments_out_of_range(name):
         fn(a, b)
 
 
-@pytest.mark.parametrize("column_parity,top_row_parity", [(2, 0), (0, 2), (-1, 0)])
+@pytest.mark.parametrize("column_parity,top_row_parity",
+                         [(2, 0), (0, 2), (-1, 0), (1.0, 0), (0, 1.0)])
 def test_lift_rejects_parities_other_than_0_or_1(column_parity, top_row_parity):
     with pytest.raises(ValueError, match="parities"):
         lift(0, 0, column_parity, top_row_parity)
