@@ -25,7 +25,7 @@ from .decoders import (
     syndrome,
     syndrome_decode,
 )
-from .gf4 import Gf4Word, add, conj, hermitian_inner, mul, trace, trace_inner
+from .gf4 import Gf4Word, hermitian_inner, trace_inner
 from .oracle import OracleTable, build_oracle, indexed_decode, oracle_decode
 from .projection import (
     LiftError,

@@ -64,7 +64,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .gf4 import CONJ, Gf4Word, InternalInvariantError, byte_tables, packed, xor_span
+from .gf4 import CONJ, Gf4Word, InternalInvariantError, byte_tables, leader_table, packed, xor_span
 from .projection import N_COLS, LiftError, lift, parity_profile, proj_bits
 from .quaternary import e10_matrix, e10_table
 
@@ -231,15 +231,7 @@ def syndrome(y: Gf4Word | int) -> int:
 @functools.lru_cache(maxsize=None, typed=True)
 def _syndrome_table(*erasures: int) -> dict[int, int]:
     """Packed syndrome -> the packed error word inside the budget that has it."""
-    table: dict[int, int] = {}
-    for e in _budget_patterns(*erasures):
-        s = _syndrome_bits(e)
-        if s in table:
-            raise InternalInvariantError(
-                f"error words {table[s]:#x} and {e:#x} share syndrome {s:#x}"
-            )
-        table[s] = e
-    return table
+    return leader_table(_budget_patterns(*erasures), _syndrome_bits)
 
 
 def solve_syndrome(s: Gf4Word | int, erasures: tuple[int, ...] = ()) -> int | None:

@@ -2,7 +2,8 @@
 
 Field elements are the ints 0..3 standing for {0, 1, w, W} where W = w^2
 = w + 1.  The two-bit encoding (0=00, 1=01, w=10, W=11) makes addition a
-plain XOR; multiplication, conjugation and trace are table lookups.
+plain XOR; multiplication, conjugation and trace are the lookup tables
+MUL, CONJ and TRACE.
 
 A word of n symbols is packed into a single int, two bits per symbol,
 position i (0-based, leftmost symbol first) at bits 2i..2i+1.  Packing
@@ -17,7 +18,7 @@ it from two list spans and imports numpy when it is called.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 
@@ -38,26 +39,6 @@ _VALUE_OF_CHAR = {c: v for v, c in enumerate(ALPHABET)}
 
 class InternalInvariantError(RuntimeError):
     """A state the decoding theory rules out; indicates a bug, not input."""
-
-
-def add(a: int, b: int) -> int:
-    """Sum in GF(4); XOR under the two-bit encoding."""
-    return a ^ b
-
-
-def mul(a: int, b: int) -> int:
-    """Product in GF(4)."""
-    return MUL[a][b]
-
-
-def conj(a: int) -> int:
-    """Conjugate a -> a^2 (swaps w and W, fixes 0 and 1)."""
-    return CONJ[a]
-
-
-def trace(a: int) -> int:
-    """Trace a + a^2 onto GF(2)."""
-    return TRACE[a]
 
 
 def xor_span(rows: Sequence[int]) -> list[int]:
@@ -94,9 +75,17 @@ def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(xor_span(images[p:p + 8])) for p in range(0, len(images), 8))
 
 
-def word_symbol(bits: int, i: int) -> int:
-    """Symbol at 0-based position i of a packed word."""
-    return (bits >> (2 * i)) & 3
+def leader_table(leaders: Iterable[int], syndrome: Callable[[int], int]) -> dict[int, int]:
+    """Syndrome -> leader, for coset leaders whose syndromes the code's
+    distance makes distinct; InternalInvariantError when two share one."""
+    table: dict[int, int] = {}
+    for e in leaders:
+        s = syndrome(e)
+        if s in table:
+            raise InternalInvariantError(
+                f"coset leaders {table[s]:#x} and {e:#x} share syndrome {s:#x}")
+        table[s] = e
+    return table
 
 
 def nonzero_mask(n: int) -> int:
@@ -135,8 +124,8 @@ class Gf4Word:
     @classmethod
     def from_symbols(cls, symbols: Iterable[int], n: int | None = None) -> "Gf4Word":
         syms = tuple(symbols)
-        if n is not None and len(syms) != n:
-            raise ValueError(f"expected {n} symbols, got {len(syms)}")
+        if n is not None and (type(n) is not int or len(syms) != n):
+            raise ValueError(f"expected {n!r} symbols, got {len(syms)}")
         bits = 0
         for i, s in enumerate(syms):
             if type(s) is not int or not 0 <= s <= 3:
@@ -154,13 +143,10 @@ class Gf4Word:
             ) from None
         return cls.from_symbols(symbols, n)
 
-    def __len__(self) -> int:
-        return self.n
-
     def __getitem__(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(i)
-        return word_symbol(self.bits, i)
+        return (self.bits >> (2 * i)) & 3
 
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
@@ -168,22 +154,11 @@ class Gf4Word:
             yield bits & 3
             bits >>= 2
 
-    def __add__(self, other: "Gf4Word") -> "Gf4Word":
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return Gf4Word(self.bits ^ other.bits, self.n)
-
     def scaled(self, k: int) -> "Gf4Word":
         return Gf4Word(word_scale(self.bits, k, self.n), self.n)
 
-    def weight(self) -> int:
-        return word_weight(self.bits, self.n)
-
     def to_string(self) -> str:
         return "".join(ALPHABET[s] for s in self)
-
-    def symbols(self) -> tuple[int, ...]:
-        return tuple(self)
 
     def __repr__(self) -> str:
         return f"Gf4Word({self.to_string()!r})"
@@ -192,7 +167,7 @@ class Gf4Word:
 def packed(word: Gf4Word | int, n: int) -> int:
     """The packed bits of an n-symbol word given as a Gf4Word or as its
     bits; anything but n symbols is a ValueError."""
-    if type(n) is int:  # True == 1 and 10.0 == 10, but neither is a length
+    if type(n) is int and n >= 0:  # a length is an int >= 0, not True (== 1) or 10.0 (== 10)
         if type(word) is int:  # first: ints are the hot path's input
             if 0 <= word < 1 << (2 * n):
                 return word

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .constructions import BinaryGeneratorMatrix
-from .gf4 import InternalInvariantError, byte_tables, xor_span_array
+from .gf4 import byte_tables, leader_table, xor_span_array
 from .projection import N_BITS, RADIUS
 
 
@@ -34,10 +34,6 @@ class OracleTable:
     name: str
     rows: tuple[int, ...]  # reduced basis used for enumeration and syndromes
 
-    @property
-    def size(self) -> int:
-        return 1 << len(self.rows)
-
     @functools.cached_property
     def words(self):
         """All 2^20 codewords as a uint64 array: words[i] is the XOR of the
@@ -47,20 +43,9 @@ class OracleTable:
     @functools.cached_property
     def leader_index(self) -> dict[int, int]:
         """Binary syndrome -> unique error word of weight <= 3."""
-        index: dict[int, int] = {0: 0}
         positions = [1 << (N_BITS - 1 - i) for i in range(N_BITS)]
-        for r in range(1, RADIUS + 1):
-            for combo in combinations(positions, r):
-                e = 0
-                for b in combo:
-                    e |= b
-                s = self._syndrome(e)
-                if s in index:
-                    raise InternalInvariantError(
-                        "coset-leader collision: minimum distance below 8"
-                    )
-                index[s] = e
-        return index
+        return leader_table((sum(combo) for r in range(RADIUS + 1)
+                             for combo in combinations(positions, r)), self._syndrome)
 
     @functools.cached_property
     def _syndrome_bytes(self) -> tuple[tuple[int, ...], ...]:

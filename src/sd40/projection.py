@@ -174,8 +174,9 @@ def lift(
         pick, dist = _LIFT_PICKS[cur | ((y_corrected >> (2 * pos)) & 3) << 4 | parity_key]
         out ^= (cur ^ pick) << shift
         total += dist
-        # Swapping a column to its complement costs 4 - 2d extra flips;
-        # the largest-distance, lowest-index column is the cheapest to swap.
+        # Swapping a column to its complement costs 4 - 2d extra flips, so the
+        # farthest column is the cheapest swap; a swap within RADIUS never
+        # meets a tie: two farthest columns plus the swap cost at least 4 flips.
         if dist > best_dist:
             best_dist, best_shift = dist, shift
     if (out & TOP_ROW_MASK).bit_count() & 1 != top_row_parity:

@@ -133,10 +133,10 @@ class MonomialSymmetry:
     scalar: int
 
     def __post_init__(self) -> None:
-        perm = self.block_perm
+        perm, swaps = self.block_perm, self.swaps
         if not all(type(b) is int for b in perm) or sorted(perm) != list(range(NUM_BLOCKS)):
             raise ValueError(f"bad block permutation {perm}")
-        if len(self.swaps) != NUM_BLOCKS or not set(self.swaps) <= {0, 1} or sum(self.swaps) % 2:
+        if len(swaps) != NUM_BLOCKS or not all(type(s) is bool for s in swaps) or sum(swaps) % 2:
             raise ValueError(f"swaps must be {NUM_BLOCKS} booleans, an even number of them true")
         if type(self.scalar) is not int or self.scalar not in (1, 2, 3):
             raise ValueError(f"scalar must be the int 1, 2 or 3, got {self.scalar!r}")

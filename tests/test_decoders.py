@@ -244,7 +244,7 @@ def test_case_table_rows(name, pattern, expect_ok, de_oracle):
 def test_zero_errors_any_codeword(de_oracle):
     rng = random.Random(31)
     for _ in range(50):
-        cw = int(de_oracle.words[rng.randrange(de_oracle.size)])
+        cw = int(de_oracle.words[rng.randrange(de_oracle.words.size)])
         for decode in _decoders():
             out = decode(cw)
             assert out.ok and out.codeword == cw and out.flipped_bits == ()
@@ -643,6 +643,9 @@ WRONG_LENGTH = {
     "Gf4Word-n-float": (Gf4Word, 0, 10.0),
     "packed-n-bool": (gf4.packed, 0, True),
     "packed-n-float": (gf4.packed, 0, 10.0),
+    "packed-n-negative": (gf4.packed, 0, -1),
+    "from_symbols-n-float": (Gf4Word.from_symbols, [0], 1.0),
+    "from_string-n-bool": (Gf4Word.from_string, "0", True),
 }
 
 

@@ -190,7 +190,7 @@ def test_projection_o_membership(e10, de_matrix, de_oracle):
     rng = random.Random(17)
     # Random codewords satisfy it; random non-codewords fail it.
     for _ in range(2_000):
-        w = int(de_oracle.words[rng.randrange(de_oracle.size)])
+        w = int(de_oracle.words[rng.randrange(de_oracle.words.size)])
         assert has_projection_o(w, words)
         v = rng.getrandbits(40)
         assert has_projection_o(v, words) == de_matrix.contains(v)
@@ -240,7 +240,7 @@ def test_lift_identity_on_codewords(de_matrix):
 def test_lift_reverses_small_corruptions(de_matrix, de_oracle):
     rng = random.Random(23)
     for _ in range(500):
-        cw = int(de_oracle.words[rng.randrange(de_oracle.size)])
+        cw = int(de_oracle.words[rng.randrange(de_oracle.words.size)])
         weight = rng.randint(1, 3)
         v = cw
         for pos in rng.sample(range(40), weight):
