@@ -33,7 +33,6 @@ from .projection import (
     has_projection_o,
     lift,
     parity_profile,
-    proj,
 )
 from .quaternary import (
     CodeTable,

@@ -81,14 +81,14 @@ class Transcript:
 
     def render(self) -> str:
         v, out = self.received, self.outcome
-        y = pj.proj(v)
+        parities = pj.parity_profile(v)  # first: it checks v, proj_bits does not
+        y = pj.proj_bits(v)
         lines = [
             f"algorithm: {out.algorithm}",
             f"code: {self.code}",
             f"received: {format_word(v)}",
         ]
         lines += _array_block(v, y, "y")
-        parities = pj.parity_profile(v)
         par = "".join("eo"[(parities >> i) & 1] for i in range(N_COLS))
         top = "eo"[(v & pj.TOP_ROW_MASK).bit_count() & 1]
         lines.append(f"column parities: {par}  top row: {top}")
@@ -98,15 +98,15 @@ class Transcript:
             c = out.case
             erased = " ".join(map(str, c.erasure_columns)) or "none"
             lines.append(f"case: {c.case_id}  {c.parity_split}  erasure columns: {erased}")
-        lines.append(f"projection y: {y.to_string()}")
+        lines.append(f"projection y: {Gf4Word(y, N_COLS).to_string()}")
         if out.algorithm == "syndrome":
             lines.append(f"syndrome H conj(y)^T: {Gf4Word(dc.syndrome(y), 5).to_string()}")
             if out.ok:
-                e = Gf4Word(y.bits ^ out.corrected_projection, N_COLS)
+                e = Gf4Word(y ^ out.corrected_projection, N_COLS)
                 lines.append(f"error word e: {e.to_string()}")
         if out.ok:
-            y2 = Gf4Word(out.corrected_projection, N_COLS)
-            lines.append(f"corrected projection y': {y2.to_string()}")
+            y2 = out.corrected_projection
+            lines.append(f"corrected projection y': {Gf4Word(y2, N_COLS).to_string()}")
             lines += _array_block(out.codeword, y2, "y'")
             flips = " ".join(map(str, out.flipped_bits)) or "none"
             lines.append(f"flipped bits: {flips}")
@@ -117,12 +117,12 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-def _array_block(v: int, y: Gf4Word, label: str) -> list[str]:
+def _array_block(v: int, y: int, label: str) -> list[str]:
     head = "      " + "".join(f"{i:>3}" for i in range(1, N_COLS + 1))
     lines = [head]
     for name, row in zip(ALPHABET, pj.format_array_text(v).splitlines()):
         lines.append(f"{name:>4} |" + "".join(f"{bit:>3}" for bit in row))
-    cells = "".join(f"{ALPHABET[s]:>3}" for s in y)
+    cells = "".join(f"{c:>3}" for c in Gf4Word(y, N_COLS).to_string())
     lines.append(f"{label:>4} |" + cells)
     return lines
 
@@ -239,7 +239,7 @@ def cmd_census(args) -> int:
     print("type  representative  weight  count")
     for t in qt.ORBIT_TYPES:
         print(
-            f"{t.type_id:>4}  {t.representative.to_string()}      "
+            f"{t.type_id:>4}  {Gf4Word(t.representative, N_COLS).to_string()}      "
             f"{t.weight:>2}  {census[t.type_id]:>5}"
         )
     print(f"total nonzero codewords: {sum(census.values())}")
@@ -248,8 +248,8 @@ def cmd_census(args) -> int:
 
 def cmd_tables(args) -> int:
     tables = {
-        "e10": ("E10", [r.to_string() for r in qt.e10_matrix().rows]),
-        "b10": ("B10", [r.to_string() for r in qt.b10_matrix().rows]),
+        "e10": ("E10", [Gf4Word(r, N_COLS).to_string() for r in qt.e10_matrix().rows]),
+        "b10": ("B10", [Gf4Word(r, N_COLS).to_string() for r in qt.b10_matrix().rows]),
         "de": ("C40,1-DE", cn.printed_de_matrix().to_text().splitlines()),
         "se": ("C40,1-SE", cn.printed_se_matrix().to_text().splitlines()),
     }

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .gf4 import Gf4Word, xor_span_array
+from .gf4 import packed, xor_span_array
 from .projection import N_BITS, N_COLS, parse_bit_rows
 from .quaternary import QuaternaryGeneratorMatrix, b10_matrix, e10_matrix
 
@@ -24,13 +24,12 @@ DIMENSION = 20
 _BINMAP_NIBBLE = (0x0, 0x3, 0x5, 0x6)  # images of 0, 1, w, W
 
 
-def binmap(word: Gf4Word) -> int:
-    """Binary image of a length-10 quaternary word (the hat map)."""
-    if word.n != N_COLS:
-        raise ValueError(f"expected length {N_COLS}, got {word.n}")
+def binmap(word: int) -> int:
+    """Binary image of a packed 10-symbol quaternary word (the hat map)."""
+    bits = packed(word, N_COLS)
     out = 0
-    for s in word:
-        out = (out << 4) | _BINMAP_NIBBLE[s]
+    for i in range(0, 2 * N_COLS, 2):
+        out = (out << 4) | _BINMAP_NIBBLE[(bits >> i) & 3]
     return out
 
 

@@ -49,8 +49,8 @@ column parity (DE, projection O) or is even (SE, projection E), so v + c
 meets the top-row rule exactly when v does.  A success is the unique
 codeword within three flips, so it moves by c and the flips stay put.
 
-Every stage hands out projections, syndromes and error words as packed
-ints (and takes a Gf4Word or its bits), so a decode builds no Gf4Word.
+Every stage takes and hands out projections, syndromes and error words
+as packed ints, checked by gf4.packed, so a decode builds no Gf4Word.
 A case carries the parity vector it was looked up by, and the lift takes
 it and the projection from the decode instead of reading v again.  A
 DecodeOutcome stores four facts and derives ok, reason and the corrected
@@ -64,7 +64,8 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .gf4 import CONJ, Gf4Word, InternalInvariantError, byte_tables, leader_table, packed, xor_span
+from .gf4 import (InternalInvariantError, byte_tables, hermitian_inner, leader_table, packed,
+                  xor_span)
 from .projection import N_COLS, LiftError, lift, parity_profile, proj_bits
 from .quaternary import e10_matrix, e10_table
 
@@ -171,7 +172,7 @@ def _e10_words() -> frozenset[int]:
     return table.word_set
 
 
-def find_closest_in_e10(y: Gf4Word | int, erasures: tuple[int, ...] = ()) -> int | None:
+def find_closest_in_e10(y: int, erasures: tuple[int, ...] = ()) -> int | None:
     """The unique codeword within the budget of the erasure set from y, or
     None.  ValueError: y is no 10-symbol projection, an erasure is no int
     column 1..10, or there are more than three erasures.
@@ -191,30 +192,17 @@ def find_closest_in_e10(y: Gf4Word | int, erasures: tuple[int, ...] = ()) -> int
 
 
 @functools.lru_cache(maxsize=None)
-def parity_check_matrix() -> tuple[Gf4Word, ...]:
-    """H: the five GF(4)-basis rows of the generator matrix.  Hermitian
-    self-duality makes them parity checks: H conj(y)^T = 0 iff y is a
-    codeword."""
-    return e10_matrix().linear_rows
-
-
-def h_column(col: int) -> Gf4Word:
-    """Column col (1-based) of H as a 5-symbol word."""
-    if not 1 <= col <= N_COLS:
-        raise ValueError(f"column must lie in 1..{N_COLS}, got {col}")
-    h = parity_check_matrix()
-    return Gf4Word.from_symbols((row[col - 1] for row in h), 5)
-
-
-@functools.lru_cache(maxsize=None)
 def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
     """Byte tables: entry b of table k is the syndrome of the symbols at
     0-based positions 4k..4k+3 packed in byte b of a word (the last table
-    covers positions 8 and 9 only).  The syndrome is GF(2)-linear, so a
-    word's is the XOR of its three byte syndromes; value val at column c
-    contributes conj(val) times column c of H."""
-    return byte_tables([h_column(c).scaled(CONJ[val]).bits
-                        for c in range(1, N_COLS + 1) for val in (1, 2)])
+    covers positions 8 and 9 only).  H is E10's five GF(4)-basis rows,
+    parity checks by Hermitian self-duality, so symbol k of H conj(y)^T
+    is hermitian_inner(row k, y).  It is GF(2)-linear: a word's syndrome
+    is the XOR of its three byte syndromes."""
+    rows = e10_matrix().linear_rows
+    return byte_tables([sum(hermitian_inner(row, val << (2 * c), N_COLS) << (2 * k)
+                            for k, row in enumerate(rows))
+                        for c in range(N_COLS) for val in (1, 2)])
 
 
 def _syndrome_bits(y: int) -> int:
@@ -223,7 +211,7 @@ def _syndrome_bits(y: int) -> int:
     return s0[y & 0xFF] ^ s1[(y >> 8) & 0xFF] ^ s2[y >> 16]
 
 
-def syndrome(y: Gf4Word | int) -> int:
+def syndrome(y: int) -> int:
     """H conj(y)^T as a packed 5-symbol word; zero exactly on codewords."""
     return _syndrome_bits(packed(y, N_COLS))
 
@@ -234,7 +222,7 @@ def _syndrome_table(*erasures: int) -> dict[int, int]:
     return leader_table(_budget_patterns(*erasures), _syndrome_bits)
 
 
-def solve_syndrome(s: Gf4Word | int, erasures: tuple[int, ...] = ()) -> int | None:
+def solve_syndrome(s: int, erasures: tuple[int, ...] = ()) -> int | None:
     """The unique packed error word e with s = H conj(e)^T inside the
     budget of the erasure set, or None.  An erased column may carry no
     projection error."""

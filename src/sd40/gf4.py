@@ -7,7 +7,8 @@ MUL, CONJ and TRACE.
 
 A word of n symbols is packed into a single int, two bits per symbol,
 position i (0-based, leftmost symbol first) at bits 2i..2i+1.  Packing
-keeps codeword tables small and makes vector addition one XOR.
+keeps codeword tables small and makes vector addition one XOR.  Every
+layer passes words packed; `Gf4Word` only prints and parses them.
 
 Every linear structure in the package (codeword tables of GF(2)-spans and
 lookup tables of GF(2)-linear maps) is built by `xor_span`, as a list.
@@ -99,7 +100,9 @@ def word_weight(bits: int, n: int) -> int:
 
 
 def word_scale(bits: int, k: int, n: int) -> int:
-    """Packed word with every symbol multiplied by the scalar k."""
+    """Packed word with every symbol multiplied by the scalar k in 0..3."""
+    if type(k) is not int or not 0 <= k <= 3:
+        raise ValueError(f"scalar must be an int in 0..3, got {k!r}")
     row = MUL[k]
     out = 0
     for i in range(n):
@@ -143,19 +146,11 @@ class Gf4Word:
             ) from None
         return cls.from_symbols(symbols, n)
 
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> (2 * i)) & 3
-
     def __iter__(self) -> Iterator[int]:
         bits = self.bits
         for _ in range(self.n):
             yield bits & 3
             bits >>= 2
-
-    def scaled(self, k: int) -> "Gf4Word":
-        return Gf4Word(word_scale(self.bits, k, self.n), self.n)
 
     def to_string(self) -> str:
         return "".join(ALPHABET[s] for s in self)
@@ -164,33 +159,30 @@ class Gf4Word:
         return f"Gf4Word({self.to_string()!r})"
 
 
-def packed(word: Gf4Word | int, n: int) -> int:
-    """The packed bits of an n-symbol word given as a Gf4Word or as its
-    bits; anything but n symbols is a ValueError."""
-    if type(n) is int and n >= 0:  # a length is an int >= 0, not True (== 1) or 10.0 (== 10)
-        if type(word) is int:  # first: ints are the hot path's input
-            if 0 <= word < 1 << (2 * n):
-                return word
-        elif isinstance(word, Gf4Word) and word.n == n:
-            return word.bits
+def packed(word: int, n: int) -> int:
+    """The bits of a packed n-symbol word, checked: anything but an int
+    in [0, 4^n), a Gf4Word included, is a ValueError."""
+    # A length is an int >= 0, not True (== 1) or 10.0 (== 10).
+    if type(n) is int and n >= 0 and type(word) is int and 0 <= word < 1 << (2 * n):
+        return word
     raise ValueError(f"{word!r} is not a packed {n!r}-symbol word")
 
 
-def hermitian_inner(x: Gf4Word, y: Gf4Word) -> int:
-    """Hermitian inner product sum_i x_i * conj(y_i), in GF(4)."""
-    if x.n != y.n:
-        raise ValueError(f"length mismatch: {x.n} vs {y.n}")
+def hermitian_inner(x: int, y: int, n: int) -> int:
+    """Hermitian inner product sum_i x_i * conj(y_i), in GF(4), of two
+    packed n-symbol words."""
+    x, y = packed(x, n), packed(y, n)
     acc = 0
-    for a, b in zip(x, y):
-        acc ^= MUL[a][CONJ[b]]
+    for i in range(0, 2 * n, 2):
+        acc ^= MUL[(x >> i) & 3][CONJ[(y >> i) & 3]]
     return acc
 
 
-def trace_inner(x: Gf4Word, y: Gf4Word) -> int:
+def trace_inner(x: int, y: int, n: int) -> int:
     """Trace inner product sum_i Tr(x_i * conj(y_i)), in GF(2): the trace
     of the Hermitian product, since the trace is additive.
 
     A position contributes 1 exactly when the two symbols there are
     distinct nonzero elements.
     """
-    return TRACE[hermitian_inner(x, y)]
+    return TRACE[hermitian_inner(x, y, n)]

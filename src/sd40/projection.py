@@ -12,7 +12,7 @@ into the array with a forced number of bit flips.
 
 from __future__ import annotations
 
-from .gf4 import Gf4Word, InternalInvariantError, byte_tables, nonzero_mask, packed, xor_span
+from .gf4 import InternalInvariantError, byte_tables, nonzero_mask, packed, xor_span
 
 N_BITS = 40
 N_COLS = 10
@@ -76,13 +76,6 @@ def parity_profile(v: int) -> int:
             ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
 
 
-def proj(v: int) -> Gf4Word:
-    """Projection of a 40-bit word onto GF(4)^10."""
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    return Gf4Word(proj_bits(v), N_COLS)
-
-
 def candidates_for(value: int, parity: int) -> tuple[int, int]:
     """The two column nibbles with the given projection value and parity."""
     if type(value) is not int or value not in (0, 1, 2, 3):
@@ -129,14 +122,14 @@ _LIFT_PICKS = tuple(
 
 def lift(
     v: int,
-    y_corrected: Gf4Word | int,
+    y_corrected: int,
     column_parity: int,
     top_row_parity: int,
     front: int | None = None,
 ) -> tuple[int, tuple[int, ...]]:
-    """Rewrite columns of v so that its projection becomes y_corrected,
-    every column has the given parity and the top row the given parity,
-    flipping as few bits as possible.
+    """Rewrite columns of v so that its projection becomes the packed
+    word y_corrected, every column has the given parity and the top row
+    the given parity, flipping as few bits as possible.
 
     Only columns whose projection value must change or whose parity is
     wrong are touched.  Each such column admits exactly two candidate
@@ -149,8 +142,8 @@ def lift(
     ValueError when v is not a 40-bit word or a parity is not 0 or 1.
     A caller that has read v already passes front, the packed projection
     of v in bits 0-19 and its column parities (as parity_profile gives
-    them) from bit 20, and a packed y_corrected; lift then neither reads
-    them from v again nor checks v or y_corrected.
+    them) from bit 20; lift then neither reads them from v again nor
+    checks v or y_corrected.
     """
     if front is None:  # parity_profile first: it checks v, proj_bits does not
         front, y_corrected = parity_profile(v) << 20 | proj_bits(v), packed(y_corrected, N_COLS)

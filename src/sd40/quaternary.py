@@ -18,7 +18,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .gf4 import MUL, Gf4Word, InternalInvariantError, hermitian_inner, packed, word_weight, xor_span
+from .gf4 import (MUL, Gf4Word, InternalInvariantError, hermitian_inner, packed, word_scale,
+                  word_weight, xor_span)
 
 N = 10
 CODE_SIZE = 1 << N  # 2^10 GF(2)-linear combinations
@@ -44,26 +45,26 @@ _B10_ROWS = (
 
 @dataclass(frozen=True)
 class QuaternaryGeneratorMatrix:
-    """Five GF(4)-basis rows of a Hermitian self-dual linear code, which
-    is a self-dual additive (10, 2^10) code over GF(4)."""
+    """Five packed GF(4)-basis rows of a Hermitian self-dual linear code,
+    which is a self-dual additive (10, 2^10) code over GF(4)."""
 
     name: str
-    linear_rows: tuple[Gf4Word, ...]
+    linear_rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.linear_rows) != 5 or any(r.n != N for r in self.linear_rows):
-            raise ValueError(f"{self.name}: expected 5 rows of {N} symbols")
-        # Hermitian orthogonality of these rows is trace orthogonality of
-        # `rows`: Tr(h) = Tr(w^2 h) = 0 forces h = 0.
+        if len(self.linear_rows) != 5:
+            raise ValueError(f"{self.name}: expected 5 rows, got {len(self.linear_rows)}")
+        # Hermitian orthogonality of these rows (each checked to pack N symbols)
+        # is trace orthogonality of `rows`: Tr(h) = Tr(w^2 h) = 0 forces h = 0.
         for i, x in enumerate(self.linear_rows):
             for y in self.linear_rows[i:]:
-                if hermitian_inner(x, y):
+                if hermitian_inner(x, y, N):
                     raise ValueError(f"{self.name}: rows not self-orthogonal")
 
     @functools.cached_property
-    def rows(self) -> tuple[Gf4Word, ...]:
+    def rows(self) -> tuple[int, ...]:
         """GF(2)-basis: the five rows, then their w-multiples."""
-        return self.linear_rows + tuple(r.scaled(2) for r in self.linear_rows)
+        return self.linear_rows + tuple(word_scale(r, 2, N) for r in self.linear_rows)
 
 
 @dataclass(frozen=True)
@@ -71,33 +72,31 @@ class CodeTable:
     """All codewords of an enumerated (10, 2^10) code, packed as ints."""
 
     name: str
-    words: tuple[int, ...]
     word_set: frozenset[int]
     weight_distribution: dict[int, int]
 
 
 def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
-    """All 2^10 GF(2)-linear combinations of the rows; words[i] is the XOR
-    of the rows at the set bits of i (bit j selects row j + 1).
+    """All 2^10 GF(2)-linear combinations of the rows.
 
     Raises ValueError if the rows are dependent over GF(2) (span < 2^10).
     """
-    words = tuple(xor_span([r.bits for r in matrix.rows]))
+    words = xor_span(matrix.rows)
     word_set = frozenset(words)
     if len(word_set) != CODE_SIZE:
         raise ValueError(f"{matrix.name}: rows are GF(2)-dependent")
     dist = dict(Counter(word_weight(bits, N) for bits in words))
-    return CodeTable(matrix.name, words, word_set, dist)
+    return CodeTable(matrix.name, word_set, dist)
 
 
 @functools.lru_cache(maxsize=None)
 def e10_matrix() -> QuaternaryGeneratorMatrix:
-    return QuaternaryGeneratorMatrix("E10", tuple(Gf4Word.from_symbols(r) for r in _E10_ROWS))
+    return QuaternaryGeneratorMatrix("E10", tuple(Gf4Word.from_symbols(r).bits for r in _E10_ROWS))
 
 
 @functools.lru_cache(maxsize=None)
 def b10_matrix() -> QuaternaryGeneratorMatrix:
-    return QuaternaryGeneratorMatrix("B10", tuple(Gf4Word.from_symbols(r) for r in _B10_ROWS))
+    return QuaternaryGeneratorMatrix("B10", tuple(Gf4Word.from_symbols(r).bits for r in _B10_ROWS))
 
 
 @functools.lru_cache(maxsize=None)
@@ -125,7 +124,7 @@ class MonomialSymmetry:
 
     ``block_perm[j]`` is the 0-based source block written to output block
     j; ``swaps[b]`` says whether source block b has its two coordinates
-    interchanged before being moved.
+    interchanged before being moved.  `apply` maps a packed word.
     """
 
     block_perm: tuple[int, int, int, int, int]
@@ -141,7 +140,8 @@ class MonomialSymmetry:
         if type(self.scalar) is not int or self.scalar not in (1, 2, 3):
             raise ValueError(f"scalar must be the int 1, 2 or 3, got {self.scalar!r}")
 
-    def apply_bits(self, bits: int) -> int:
+    def apply(self, bits: int) -> int:
+        bits = packed(bits, N)
         mulrow = MUL[self.scalar]
         out = 0
         for j in range(NUM_BLOCKS):
@@ -153,11 +153,6 @@ class MonomialSymmetry:
             out |= mulrow[lo] << (4 * j)
             out |= mulrow[hi] << (4 * j + 2)
         return out
-
-    def apply(self, word: Gf4Word) -> Gf4Word:
-        if word.n != N:
-            raise ValueError(f"expected length {N}, got {word.n}")
-        return Gf4Word(self.apply_bits(word.bits), N)
 
 
 @functools.lru_cache(maxsize=None)
@@ -184,7 +179,7 @@ class OrbitType:
     """One of the eight codeword types, with its printed representative."""
 
     type_id: int
-    representative: Gf4Word
+    representative: int  # packed
     expected_count: int
     weight: int
 
@@ -201,7 +196,7 @@ _TYPE_DATA = (
 )
 
 ORBIT_TYPES: tuple[OrbitType, ...] = tuple(
-    OrbitType(tid, Gf4Word.from_symbols(rep), count, weight)
+    OrbitType(tid, Gf4Word.from_symbols(rep).bits, count, weight)
     for tid, rep, count, weight in _TYPE_DATA
 )
 
@@ -220,8 +215,8 @@ def orbit_lookup() -> dict[int, int]:
     codewords = e10_table().word_set
     lookup: dict[int, int] = {}
     for typ in ORBIT_TYPES:
-        rep = typ.representative.bits
-        orbit = dict.fromkeys([sym.apply_bits(rep) for sym in full_symmetry_group()], typ.type_id)
+        orbit = dict.fromkeys([sym.apply(typ.representative) for sym in full_symmetry_group()],
+                              typ.type_id)
         if len(orbit) != typ.expected_count:
             raise InternalInvariantError(
                 f"type {typ.type_id} has {len(orbit)} words, want {typ.expected_count}")
@@ -234,8 +229,9 @@ def orbit_lookup() -> dict[int, int]:
     return lookup
 
 
-def classify_type(word: Gf4Word | int) -> OrbitType:
-    """The unique type whose orbit contains the given nonzero codeword."""
+def classify_type(word: int) -> OrbitType:
+    """The unique type whose orbit contains the given packed nonzero
+    codeword."""
     bits = packed(word, N)
     if bits == 0:
         raise ValueError("the zero word has no type")

@@ -336,3 +336,12 @@ def test_decode_transcript_holds_the_outcome():
 def test_decode_transcript_rejects_an_unknown_code(algorithm):
     with pytest.raises(ValueError, match="code must be DE or SE, got 'XX'"):
         cli.decode_transcript(0, algorithm, "XX")
+
+
+@pytest.mark.parametrize("v", [-1, 1 << 40])
+def test_transcript_refuses_a_word_outside_40_bits(v):
+    # render reads the parities first, which checks the word; the
+    # projection it prints is read unchecked.
+    outcome = cli.dc.represent_decode(0)
+    with pytest.raises(ValueError, match="40-bit"):
+        cli.Transcript("DE", v, outcome).render()

@@ -39,13 +39,15 @@ SE_DISTRIBUTION = {
 
 
 def test_binmap_examples():
-    w = Gf4Word.from_string("1111000000")
+    w = Gf4Word.from_string("1111000000").bits
     assert format(binmap(w), "040b") == "0011" * 4 + "0000" * 6
-    assert binmap(Gf4Word(0, 10)) == 0
-    w2 = Gf4Word.from_string("wW00000000")
+    assert binmap(0) == 0
+    w2 = Gf4Word.from_string("wW00000000").bits
     assert format(binmap(w2), "040b") == "01010110" + "0000" * 8
-    with pytest.raises(ValueError):
-        binmap(Gf4Word(0, 5))
+    # An 11-symbol word, a negative int, and a Gf4Word, which is no packed word.
+    for bad in (1 << 20, -1, Gf4Word(0, 10)):
+        with pytest.raises(ValueError, match="not a packed 10-symbol word"):
+            binmap(bad)
 
 
 def test_d4n0_generators():

@@ -81,32 +81,34 @@ def test_trace():
 def test_trace_inner_single_position_characterization():
     # Tr(a * conj(b)) = 1 exactly when a, b are distinct nonzero elements.
     for a, b in itertools.product(ELEMENTS, repeat=2):
-        x = Gf4Word.from_symbols([a], 1)
-        y = Gf4Word.from_symbols([b], 1)
         expect = 1 if (a != b and a != ZERO and b != ZERO) else 0
-        assert trace_inner(x, y) == expect
+        assert trace_inner(a, b, 1) == expect
 
 
 def test_trace_inner_self_and_zero():
     for bits in range(256):
-        w = Gf4Word(bits, 4)
-        assert trace_inner(w, w) == 0
-        assert trace_inner(w, Gf4Word(0, 4)) == 0
+        assert trace_inner(bits, bits, 4) == 0
+        assert trace_inner(bits, 0, 4) == 0
 
 
 def test_hermitian_inner_examples():
-    x = Gf4Word.from_string("1111000000")
-    y = Gf4Word.from_string("0011110000")
-    assert hermitian_inner(x, y) == ZERO
-    assert hermitian_inner(x, x) == ZERO  # weight 4, each position gives 1
-    assert hermitian_inner(x, Gf4Word(0, 10)) == ZERO
+    x = Gf4Word.from_string("1111000000").bits
+    y = Gf4Word.from_string("0011110000").bits
+    assert hermitian_inner(x, y, 10) == ZERO
+    assert hermitian_inner(x, x, 10) == ZERO  # weight 4, each position gives 1
+    assert hermitian_inner(x, 0, 10) == ZERO
+    # w * conj(1) + 1 * conj(w) = w + W = 1
+    assert hermitian_inner(Gf4Word.from_string("w1").bits, Gf4Word.from_string("1w").bits, 2) == ONE
 
 
 def test_inner_product_length_mismatch():
-    with pytest.raises(ValueError):
-        hermitian_inner(Gf4Word(0, 10), Gf4Word(0, 5))
-    with pytest.raises(ValueError):
-        trace_inner(Gf4Word(0, 10), Gf4Word(0, 5))
+    # Either word may be the one that does not pack n symbols; a Gf4Word
+    # is no packed word.
+    for x, y in ((0, 1 << 20), (1 << 20, 0), (-1, 0), (Gf4Word(0, 10), 0)):
+        with pytest.raises(ValueError, match="not a packed 10-symbol word"):
+            hermitian_inner(x, y, 10)
+        with pytest.raises(ValueError, match="not a packed 10-symbol word"):
+            trace_inner(x, y, 10)
 
 
 def test_word_parsing_and_formatting():
@@ -115,7 +117,6 @@ def test_word_parsing_and_formatting():
     assert tuple(w) == (1, 0, 1, 0, 1, 0, 0, 1, 2, 3)
     assert word_weight(w.bits, w.n) == 6
     assert w.n == 10
-    assert w[8] == OMEGA and w[9] == OMEGA_BAR
     with pytest.raises(ValueError):
         Gf4Word.from_string("10101001wX")
     with pytest.raises(ValueError):
@@ -129,14 +130,24 @@ def test_word_addition_and_scaling():
     a = Gf4Word.from_string("ww00000000")
     b = Gf4Word.from_string("W100000000")
     assert Gf4Word(a.bits ^ b.bits, a.n).to_string() == "1W00000000"
-    assert a.scaled(OMEGA).to_string() == "WW00000000"
-    assert a.scaled(ONE) == a
+    assert Gf4Word(word_scale(a.bits, OMEGA, 10), 10).to_string() == "WW00000000"
+    assert word_scale(a.bits, ONE, 10) == a.bits
+    assert word_scale(a.bits, ZERO, 10) == 0
 
 
 def test_packed_helpers_match_word_api():
     w = Gf4Word.from_string("0W1w01w0W0")
     assert word_weight(w.bits, w.n) == sum(s != ZERO for s in w) == 6
-    assert Gf4Word(word_scale(w.bits, OMEGA_BAR, 10), 10) == w.scaled(OMEGA_BAR)
+    scaled = Gf4Word(word_scale(w.bits, OMEGA_BAR, 10), 10)
+    assert tuple(scaled) == tuple(MUL[OMEGA_BAR][s] for s in w)
+
+
+@pytest.mark.parametrize("k", [-1, True, 4, 1.0])
+def test_word_scale_refuses_a_bad_scalar(k):
+    # -1 would read row 3 of MUL, True would scale by 1, and 4 and 1.0
+    # would fail as an index.
+    with pytest.raises(ValueError, match="scalar must be an int in 0..3"):
+        word_scale(1, k, 1)
 
 
 @pytest.mark.parametrize("bits,n", [(-1, 10), (1 << 20, 10), (1 << 24, 10), (5, 1),
@@ -148,14 +159,15 @@ def test_word_bits_fit_its_length(bits, n):
         Gf4Word(bits, n)
 
 
-def test_packed_takes_a_word_or_its_bits():
+def test_packed_refuses_a_gf4word():
     # Out-of-range and wrong-length cases are in test_decoders' WRONG_LENGTH.
     for n in (5, 10):
         top = (1 << 2 * n) - 1
-        assert packed(Gf4Word(top, n), n) == packed(top, n) == top
-        assert packed(Gf4Word(0, n), n) == packed(0, n) == 0
-        with pytest.raises(ValueError, match=f"{n}-symbol"):
-            packed(-1, n)
+        assert packed(top, n) == top
+        assert packed(0, n) == 0
+        for word in (Gf4Word(top, n), Gf4Word(0, n), -1):
+            with pytest.raises(ValueError, match=f"is not a packed {n}-symbol word"):
+                packed(word, n)
 
 
 def test_word_range_edges():

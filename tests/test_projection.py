@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.decoders import classify_case
+from sd40.gf4 import Gf4Word
 from sd40.projection import (
     _PARITY_BYTES,
     _PROJ_BYTES,
@@ -22,7 +23,6 @@ from sd40.projection import (
     lift,
     parity_profile,
     parse_array_text,
-    proj,
     proj_bits,
 )
 from sd40.quaternary import e10_matrix
@@ -37,14 +37,14 @@ SECTION3_ARRAY = """
 
 def test_proj_section3_example():
     v = parse_array_text(SECTION3_ARRAY)
-    assert proj(v).to_string() == "W01wW1w10W"
+    assert Gf4Word(proj_bits(v), 10).to_string() == "W01wW1w10W"
 
 
 def test_proj_trivial_cases():
-    assert proj(0).bits == 0
+    assert proj_bits(0) == 0
     # Column 0110 in rows (0, 1, w, W) projects to 1 + w = W.
     v = parse_array_text("0000000000\n1000000000\n1000000000\n0000000000")
-    assert proj(v)[0] == 3
+    assert proj_bits(v) & 3 == 3
 
 
 def test_proj_linearity(de_matrix):
@@ -105,7 +105,7 @@ def _reference_lift(v, target, column_parity, top_row_parity):
     for col in range(1, 11):
         cur = column_nibble(v, col)
         want = (target >> (2 * (col - 1))) & 3
-        if proj(cur << 36)[0] == want and cur.bit_count() % 2 == column_parity:
+        if proj_bits(cur << 36) & 3 == want and cur.bit_count() % 2 == column_parity:
             continue
         a, b = candidates_for(want, column_parity)
         da = (cur ^ a).bit_count()
@@ -128,7 +128,7 @@ def test_lift_matches_column_loop():
     rng = random.Random(29)
     for _ in range(20_000):
         v = rng.getrandbits(40)
-        # Targets near proj(v) reach the accepting branch, random ones the
+        # Targets near proj_bits(v) reach the accepting branch, random ones the
         # rejecting one.
         target = proj_bits(v) ^ rng.choice([0, rng.getrandbits(20), 1 << 2 * rng.randrange(10)])
         args = (v, target, rng.randrange(2), rng.randrange(2))
@@ -169,7 +169,7 @@ def test_column_patterns_are_proj_fibers():
     for value, pats in enumerate(COLUMN_PATTERNS):
         for n in pats:
             v = n << 36  # place in column 1
-            assert proj(v)[0] == value
+            assert proj_bits(v) & 3 == value
         assert pats[0].bit_count() % 2 == 0
         assert pats[1].bit_count() % 2 == 0
         assert pats[2].bit_count() % 2 == 1
@@ -218,7 +218,7 @@ def test_even_fiber_of_fixed_codeword_has_512_members(de_matrix):
     # All 2^10 all-even-column realizations of one projection codeword;
     # exactly half satisfy the top-row rule and land in the code.
     w = e10_matrix().rows[4]
-    cols = [candidates_for(s, 0) for s in w]
+    cols = [candidates_for(s, 0) for s in Gf4Word(w, 10)]
     members = 0
     for combo in itertools.product(*cols):
         word = 0
@@ -233,7 +233,7 @@ def test_lift_identity_on_codewords(de_matrix):
     for row in de_matrix.rows[:5]:
         parities = parity_profile(row)
         assert parities in (0, (1 << 10) - 1)
-        word, flips = lift(row, proj(row), parities & 1, _top_row_parity(row))
+        word, flips = lift(row, proj_bits(row), parities & 1, _top_row_parity(row))
         assert word == row and flips == ()
 
 
@@ -246,7 +246,7 @@ def test_lift_reverses_small_corruptions(de_matrix, de_oracle):
         for pos in rng.sample(range(40), weight):
             v ^= 1 << pos
         majority = classify_case(v).majority_parity
-        word, flips = lift(v, proj(cw), majority, majority)
+        word, flips = lift(v, proj_bits(cw), majority, majority)
         assert word == cw
         assert len(flips) <= 3
 
@@ -261,7 +261,7 @@ def test_lift_budget_exceeded():
     majority = parities & 1
     assert _top_row_parity(v) != majority
     with pytest.raises(LiftError):
-        lift(v, proj(v), majority, majority)
+        lift(v, proj_bits(v), majority, majority)
 
 
 # Array-layer calls with a symbol, parity or column outside its range, and

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sd40 import quaternary
-from sd40.gf4 import Gf4Word, InternalInvariantError, trace_inner, word_weight
+from sd40.gf4 import Gf4Word, InternalInvariantError, trace_inner, word_scale, word_weight
 from sd40.quaternary import (
     GROUP_ORDER,
     ORBIT_TYPES,
@@ -25,34 +25,34 @@ EXPECTED_CENSUS = {1: 30, 2: 240, 3: 60, 4: 15, 5: 90, 6: 480, 7: 48, 8: 60}
 
 def test_e10_printed_rows():
     rows = e10_matrix().rows
-    assert rows[0].to_string() == "1111000000"
-    assert rows[4].to_string() == "10101010wW"
-    assert rows[9].to_string() == "w0w0w0w0W1"
+    assert Gf4Word(rows[0], 10).to_string() == "1111000000"
+    assert Gf4Word(rows[4], 10).to_string() == "10101010wW"
+    assert Gf4Word(rows[9], 10).to_string() == "w0w0w0w0W1"
 
 
 def test_b10_printed_rows():
     rows = b10_matrix().rows
-    assert rows[1].to_string() == "01wW100000"
-    assert rows[4].to_string() == "01Ww001Ww0"
+    assert Gf4Word(rows[1], 10).to_string() == "01wW100000"
+    assert Gf4Word(rows[4], 10).to_string() == "01Ww001Ww0"
 
 
 def test_rows_pairwise_trace_orthogonal():
     for m in (e10_matrix(), b10_matrix()):
         for x in m.rows:
             for y in m.rows:
-                assert trace_inner(x, y) == 0
+                assert trace_inner(x, y, 10) == 0
 
 
 def test_omega_rows():
     for m in (e10_matrix(), b10_matrix()):
         for i in range(5):
-            assert m.rows[5 + i] == m.rows[i].scaled(2)
+            assert m.rows[5 + i] == word_scale(m.rows[i], 2, 10)
 
 
 def test_weight_enumerator(e10, b10):
     assert e10.weight_distribution == EXPECTED_W10
     assert b10.weight_distribution == EXPECTED_W10
-    assert len(e10.words) == 1024
+    assert len(e10.word_set) == 1024
     assert 0 in e10.word_set
 
 
@@ -63,7 +63,7 @@ def test_minimum_weight_exactly_four(e10, b10):
 
 def test_closure_under_addition(e10):
     rng = random.Random(2024)
-    words = e10.words
+    words = sorted(e10.word_set)
     for _ in range(10_000):
         a, b = rng.choice(words), rng.choice(words)
         assert a ^ b in e10.word_set
@@ -72,14 +72,14 @@ def test_closure_under_addition(e10):
 def test_rank_deficiency_rejected():
     # Self-orthogonal rows whose GF(2)-span is smaller than 2^10.
     lin = e10_matrix().linear_rows
-    bad = QuaternaryGeneratorMatrix("bad", lin[:4] + (Gf4Word(lin[0].bits ^ lin[1].bits, 10),))
+    bad = QuaternaryGeneratorMatrix("bad", lin[:4] + (lin[0] ^ lin[1],))
     with pytest.raises(ValueError):
         enumerate_code(bad)
 
 
 def test_rows_that_are_not_self_orthogonal_rejected():
     # 1000000000 has Hermitian product 1 with itself and with row 1.
-    lin = e10_matrix().linear_rows[:4] + (Gf4Word.from_string("1000000000"),)
+    lin = e10_matrix().linear_rows[:4] + (Gf4Word.from_string("1000000000").bits,)
     with pytest.raises(ValueError, match="not self-orthogonal"):
         QuaternaryGeneratorMatrix("bad", lin)
 
@@ -87,8 +87,12 @@ def test_rows_that_are_not_self_orthogonal_rejected():
 def test_generator_rows_are_five_words_of_length_ten():
     # Longer rows would enumerate, with weights counted over 10 symbols.
     lin = e10_matrix().linear_rows
-    for rows in (lin[:4], lin + lin[:1], tuple(Gf4Word(r.bits, 12) for r in lin)):
-        with pytest.raises(ValueError, match="expected 5 rows of 10 symbols"):
+    for rows in (lin[:4], lin + lin[:1]):
+        with pytest.raises(ValueError, match="expected 5 rows"):
+            QuaternaryGeneratorMatrix("bad", rows)
+    # 12-symbol rows, and the rows as Gf4Words rather than packed words.
+    for rows in (tuple(r | 1 << 22 for r in lin), tuple(Gf4Word(r, 10) for r in lin)):
+        with pytest.raises(ValueError, match="not a packed 10-symbol word"):
             QuaternaryGeneratorMatrix("bad", rows)
 
 
@@ -113,12 +117,17 @@ def test_symmetry_validation():
 
 def test_symmetry_actions():
     ident = MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 1)
-    w = Gf4Word.from_string("1111000000")
+    w = Gf4Word.from_string("1111000000").bits
     assert ident.apply(w) == w
     scale = MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 2)
-    assert scale.apply(w).to_string() == "wwww000000"
+    assert Gf4Word(scale.apply(w), 10).to_string() == "wwww000000"
     swap12 = MonomialSymmetry((1, 0, 2, 3, 4), (False,) * 5, 1)
-    assert swap12.apply(Gf4Word.from_string("1100000000")).to_string() == "0011000000"
+    out = swap12.apply(Gf4Word.from_string("1100000000").bits)
+    assert Gf4Word(out, 10).to_string() == "0011000000"
+    # An 11-symbol word, a negative int and a Gf4Word are no packed words.
+    for bad in (1 << 20, -1, Gf4Word(0, 10)):
+        with pytest.raises(ValueError, match="not a packed 10-symbol word"):
+            ident.apply(bad)
 
 
 # The three printed group generators: (12)(34), (13)(24), (13579)(2468 10).
@@ -131,7 +140,7 @@ PRINTED_GENERATORS = (
 
 def test_printed_generators_preserve_code(e10):
     for sym in PRINTED_GENERATORS:
-        assert {sym.apply_bits(w) for w in e10.words} == e10.word_set
+        assert {sym.apply(w) for w in e10.word_set} == e10.word_set
 
 
 def test_random_group_elements_preserve_code(e10):
@@ -139,14 +148,14 @@ def test_random_group_elements_preserve_code(e10):
     group = full_symmetry_group()
     assert len(group) == GROUP_ORDER
     for sym in rng.sample(group, 100):
-        assert {sym.apply_bits(w) for w in e10.words} == e10.word_set
+        assert {sym.apply(w) for w in e10.word_set} == e10.word_set
 
 
 def test_block_cycle_matches_coordinate_cycle():
     # (13579)(2468 10) sends coordinate 1 -> 3, 3 -> 5, ..., 9 -> 1.
     sym = PRINTED_GENERATORS[2]
-    w = Gf4Word.from_symbols((1, 2, 0, 0, 0, 0, 0, 0, 0, 0))
-    out = sym.apply(w)
+    w = Gf4Word.from_symbols((1, 2, 0, 0, 0, 0, 0, 0, 0, 0)).bits
+    out = Gf4Word(sym.apply(w), 10)
     assert tuple(out) == (0, 0, 1, 2, 0, 0, 0, 0, 0, 0)
 
 
@@ -160,7 +169,7 @@ def test_orbit_census_matches_table(e10):
 def test_orbit_lookup_rejects_an_image_outside_e10(monkeypatch):
     # 0001000000 is no codeword, yet its orbit has 30 words like type 1's,
     # so only the membership check of the build can see the bad type.
-    bad = OrbitType(1, Gf4Word.from_string("0001000000"), 30, 1)
+    bad = OrbitType(1, Gf4Word.from_string("0001000000").bits, 30, 1)
     monkeypatch.setattr(quaternary, "ORBIT_TYPES", (bad, *ORBIT_TYPES[1:]))
     orbit_lookup.cache_clear()
     try:
@@ -216,15 +225,15 @@ def test_orbit_type_weights():
 
 def test_classify_examples():
     # Weight-8 word with three distinct nonzero symbols: the sixth type.
-    w = Gf4Word.from_string("0Ww1w1W0w1")
+    w = Gf4Word.from_string("0Ww1w1W0w1").bits
     assert classify_type(w).type_id == 6
-    assert classify_type(Gf4Word.from_string("1111000000")).type_id == 1
-    assert classify_type(Gf4Word.from_string("WwWwwWwWwW")).type_id == 7
+    assert classify_type(Gf4Word.from_string("1111000000").bits).type_id == 1
+    assert classify_type(Gf4Word.from_string("WwWwwWwWwW").bits).type_id == 7
 
 
 def test_classify_rejects_non_codewords():
-    with pytest.raises(ValueError):
-        classify_type(Gf4Word(0, 10))
-    with pytest.raises(ValueError):
-        classify_type(Gf4Word.from_string("1000000000"))
+    with pytest.raises(ValueError, match="the zero word has no type"):
+        classify_type(0)
+    with pytest.raises(ValueError, match="1000000000 is not a codeword of E10"):
+        classify_type(Gf4Word.from_string("1000000000").bits)
 
