@@ -36,7 +36,6 @@ from .projection import (
 )
 from .quaternary import (
     CodeTable,
-    MonomialSymmetry,
     OrbitType,
     QuaternaryGeneratorMatrix,
     classify_type,

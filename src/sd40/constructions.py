@@ -35,8 +35,8 @@ def binmap(word: int) -> int:
 
 def d4_block(i: int) -> int:
     """All-ones nibble in column i (1-based): a [4,1,4] block generator."""
-    if not 1 <= i <= N_COLS:
-        raise ValueError(f"column {i} out of range")
+    if type(i) is not int or not 1 <= i <= N_COLS:
+        raise ValueError(f"column {i!r} out of range")
     return 0xF << (4 * (N_COLS - i))
 
 

@@ -99,15 +99,12 @@ def word_weight(bits: int, n: int) -> int:
     return ((bits | (bits >> 1)) & nonzero_mask(n)).bit_count()
 
 
-def word_scale(bits: int, k: int, n: int) -> int:
-    """Packed word with every symbol multiplied by the scalar k in 0..3."""
-    if type(k) is not int or not 0 <= k <= 3:
-        raise ValueError(f"scalar must be an int in 0..3, got {k!r}")
-    row = MUL[k]
-    out = 0
-    for i in range(n):
-        out |= row[(bits >> (2 * i)) & 3] << (2 * i)
-    return out
+def word_times_w(bits: int, n: int) -> int:
+    """w times a packed n-symbol word: a0 + a1 w becomes a1 + (a0 + a1) w,
+    so each symbol's new low bit is its high bit and its new high bit the
+    XOR of the two."""
+    hi = (packed(bits, n) >> 1) & nonzero_mask(n)
+    return hi | ((bits ^ hi) & nonzero_mask(n)) << 1
 
 
 @dataclass(frozen=True, slots=True)

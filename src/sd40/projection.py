@@ -54,8 +54,8 @@ def column_nibble(v: int, col: int) -> int:
     ValueError: v is no 40-bit word or col lies outside 1..10."""
     if v >> N_BITS:  # -1 for every negative v
         raise ValueError(f"word {v} is not a {N_BITS}-bit word")
-    if not 1 <= col <= N_COLS:
-        raise ValueError(f"column must lie in 1..{N_COLS}, got {col}")
+    if type(col) is not int or not 1 <= col <= N_COLS:
+        raise ValueError(f"column must lie in 1..{N_COLS}, got {col!r}")
     return (v >> (4 * (N_COLS - col))) & 0xF
 
 

@@ -1,10 +1,11 @@
 """The two Hermitian self-dual (10, 2^10, 4) codes over GF(4).
 
 Provides their generator matrices (five GF(4) rows), 1024-codeword tables
-with weight distributions, the order-5760 monomial symmetry group of the
-first code (block permutations x even intra-block swaps x nonzero
-scalars), and the classification of its 1023 nonzero codewords into
-eight orbit types.
+with weight distributions, and the classification of the first code's
+1023 nonzero codewords into eight orbit types: the orbits of the group
+that the paper's automorphisms (12)(34), (13)(24), (13579)(2468 10) and
+the scalar w generate, found by closing each printed representative
+under those four maps.
 
 Coordinates are grouped into five blocks (1,2) (3,4) (5,6) (7,8) (9,10);
 block indices and column indices in the public API are 1-based to match
@@ -14,11 +15,10 @@ the printed matrices.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .gf4 import (MUL, Gf4Word, InternalInvariantError, hermitian_inner, packed, word_scale,
+from .gf4 import (Gf4Word, InternalInvariantError, hermitian_inner, packed, word_times_w,
                   word_weight, xor_span)
 
 N = 10
@@ -64,7 +64,7 @@ class QuaternaryGeneratorMatrix:
     @functools.cached_property
     def rows(self) -> tuple[int, ...]:
         """GF(2)-basis: the five rows, then their w-multiples."""
-        return self.linear_rows + tuple(word_scale(r, 2, N) for r in self.linear_rows)
+        return self.linear_rows + tuple(word_times_w(r, N) for r in self.linear_rows)
 
 
 @dataclass(frozen=True)
@@ -110,68 +110,35 @@ def b10_table() -> CodeTable:
 
 
 # ---------------------------------------------------------------------------
-# Monomial symmetries and orbit types
+# Generators and orbit types
 # ---------------------------------------------------------------------------
 
-NUM_BLOCKS = 5
-GROUP_ORDER = 5760  # 5! block permutations x 16 even swap patterns x 3 scalars
+# The printed automorphisms of E10 as maps of packed words (coordinate i
+# at bits 2i-2..2i-1, so block j is the nibble at bits 4j-4..4j-1).  Each
+# permutes the five blocks, swaps inside an even number of them or scales
+# every symbol, so they generate a subgroup of the order-5760 monomial group
+# (5! block permutations x 16 even swap patterns x 3 scalars).
+GENERATORS = {
+    "(12)(34)": lambda b: (b & ~0xFF) | (b & 0x33) << 2 | (b >> 2) & 0x33,
+    "(13)(24)": lambda b: (b & ~0xFF) | (b & 0xF) << 4 | (b >> 4) & 0xF,
+    "(13579)(2468 10)": lambda b: (b << 4 | b >> 16) & 0xFFFFF,
+    "w": lambda b: word_times_w(b, N),
+}
 
 
-@dataclass(frozen=True)
-class MonomialSymmetry:
-    """One symmetry: permute the five blocks, swap inside an even number
-    of blocks, multiply every symbol by a nonzero scalar.
-
-    ``block_perm[j]`` is the 0-based source block written to output block
-    j; ``swaps[b]`` says whether source block b has its two coordinates
-    interchanged before being moved.  `apply` maps a packed word.
-    """
-
-    block_perm: tuple[int, int, int, int, int]
-    swaps: tuple[bool, bool, bool, bool, bool]
-    scalar: int
-
-    def __post_init__(self) -> None:
-        perm, swaps = self.block_perm, self.swaps
-        if not all(type(b) is int for b in perm) or sorted(perm) != list(range(NUM_BLOCKS)):
-            raise ValueError(f"bad block permutation {perm}")
-        if len(swaps) != NUM_BLOCKS or not all(type(s) is bool for s in swaps) or sum(swaps) % 2:
-            raise ValueError(f"swaps must be {NUM_BLOCKS} booleans, an even number of them true")
-        if type(self.scalar) is not int or self.scalar not in (1, 2, 3):
-            raise ValueError(f"scalar must be the int 1, 2 or 3, got {self.scalar!r}")
-
-    def apply(self, bits: int) -> int:
-        bits = packed(bits, N)
-        mulrow = MUL[self.scalar]
-        out = 0
-        for j in range(NUM_BLOCKS):
-            src = self.block_perm[j]
-            lo = (bits >> (4 * src)) & 3
-            hi = (bits >> (4 * src + 2)) & 3
-            if self.swaps[src]:
-                lo, hi = hi, lo
-            out |= mulrow[lo] << (4 * j)
-            out |= mulrow[hi] << (4 * j + 2)
-        return out
-
-
-@functools.lru_cache(maxsize=None)
-def full_symmetry_group() -> tuple[MonomialSymmetry, ...]:
-    """All 5760 monomial symmetries."""
-    perms = list(itertools.permutations(range(NUM_BLOCKS)))
-    swap_patterns = [
-        p for p in itertools.product((False, True), repeat=NUM_BLOCKS)
-        if sum(p) % 2 == 0
-    ]
-    group = tuple(
-        MonomialSymmetry(perm, swaps, scalar)
-        for perm in perms
-        for swaps in swap_patterns
-        for scalar in (1, 2, 3)
-    )
-    if len(group) != GROUP_ORDER:
-        raise InternalInvariantError(f"{len(group)} symmetries, want {GROUP_ORDER}")
-    return group
+def orbit(word: int) -> set[int]:
+    """The orbit of a packed 10-symbol word under the generated group: the
+    closure of the word under the four generators (a finite group holds the
+    inverse of each generator as one of its powers)."""
+    seen = {packed(word, N)}
+    todo = list(seen)
+    while todo:
+        bits = todo.pop()
+        for image in [g(bits) for g in GENERATORS.values()]:
+            if image not in seen:
+                seen.add(image)
+                todo.append(image)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -203,8 +170,8 @@ ORBIT_TYPES: tuple[OrbitType, ...] = tuple(
 
 @functools.lru_cache(maxsize=None)
 def orbit_lookup() -> dict[int, int]:
-    """Packed codeword -> type id, built by expanding every representative
-    under the full symmetry group.
+    """Packed codeword -> type id, built from the orbit of every printed
+    representative under the generators.
 
     The expansion must tile the 1023 nonzero E10 codewords exactly once:
     an orbit whose size is not its printed count, an image outside E10, or
@@ -215,15 +182,14 @@ def orbit_lookup() -> dict[int, int]:
     codewords = e10_table().word_set
     lookup: dict[int, int] = {}
     for typ in ORBIT_TYPES:
-        orbit = dict.fromkeys([sym.apply(typ.representative) for sym in full_symmetry_group()],
-                              typ.type_id)
-        if len(orbit) != typ.expected_count:
+        words = orbit(typ.representative)
+        if len(words) != typ.expected_count:
             raise InternalInvariantError(
-                f"type {typ.type_id} has {len(orbit)} words, want {typ.expected_count}")
-        if not orbit.keys() <= codewords:
+                f"type {typ.type_id} has {len(words)} words, want {typ.expected_count}")
+        if not words <= codewords:
             raise InternalInvariantError(
-                f"type {typ.type_id} reaches {min(orbit.keys() - codewords):#x}, not in E10")
-        lookup.update(orbit)
+                f"type {typ.type_id} reaches {min(words - codewords):#x}, not in E10")
+        lookup.update(dict.fromkeys(words, typ.type_id))
     if not len(lookup) == CODE_SIZE - 1 == sum(t.expected_count for t in ORBIT_TYPES):
         raise InternalInvariantError(f"orbits cover {len(lookup)} words, want 1023 each once")
     return lookup

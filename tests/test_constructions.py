@@ -138,6 +138,13 @@ def test_rho_a_contains_d4(de_matrix):
     assert not de_matrix.contains(d4_block(1))
 
 
+@pytest.mark.parametrize("col", [0, 11, 1.0, True])
+def test_d4_block_refuses_a_column_outside_1_to_10(col):
+    # 1.0 would fail later, as a shift, and True would read column 1.
+    with pytest.raises(ValueError, match=f"column {col!r} out of range"):
+        d4_block(col)
+
+
 def test_certify_de(de_matrix):
     report = certify(de_matrix)
     assert report.self_dual

@@ -627,6 +627,9 @@ WRONG_LENGTH = {
     # The bits of an E10 codeword, read as 11 symbols, are no codeword.
     "classify_type-11": (classify_type, Gf4Word(e10_matrix().rows[0], 11)),
     "classify_type-int": (classify_type, 1 << 20),
+    "orbit-int": (quaternary.orbit, 1 << 20),
+    "orbit-negative": (quaternary.orbit, -1),
+    "orbit-word": (quaternary.orbit, Gf4Word(0, 10)),
     "packed-5-word": (gf4.packed, Gf4Word(0, 10), 5),
     "packed-5-int": (gf4.packed, 1 << 10, 5),
     "packed-10-word": (gf4.packed, Gf4Word(0, 5), 10),

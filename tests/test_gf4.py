@@ -20,7 +20,7 @@ from sd40.gf4 import (
     hermitian_inner,
     packed,
     trace_inner,
-    word_scale,
+    word_times_w,
     word_weight,
     xor_span,
     xor_span_array,
@@ -130,24 +130,33 @@ def test_word_addition_and_scaling():
     a = Gf4Word.from_string("ww00000000")
     b = Gf4Word.from_string("W100000000")
     assert Gf4Word(a.bits ^ b.bits, a.n).to_string() == "1W00000000"
-    assert Gf4Word(word_scale(a.bits, OMEGA, 10), 10).to_string() == "WW00000000"
-    assert word_scale(a.bits, ONE, 10) == a.bits
-    assert word_scale(a.bits, ZERO, 10) == 0
+    assert Gf4Word(word_times_w(a.bits, 10), 10).to_string() == "WW00000000"
+    # w^3 = 1, so three w-multiples give the word back.
+    assert word_times_w(word_times_w(word_times_w(a.bits, 10), 10), 10) == a.bits
+    assert word_times_w(0, 10) == 0
 
 
 def test_packed_helpers_match_word_api():
     w = Gf4Word.from_string("0W1w01w0W0")
     assert word_weight(w.bits, w.n) == sum(s != ZERO for s in w) == 6
-    scaled = Gf4Word(word_scale(w.bits, OMEGA_BAR, 10), 10)
+    scaled = Gf4Word(word_times_w(word_times_w(w.bits, 10), 10), 10)
     assert tuple(scaled) == tuple(MUL[OMEGA_BAR][s] for s in w)
 
 
-@pytest.mark.parametrize("k", [-1, True, 4, 1.0])
-def test_word_scale_refuses_a_bad_scalar(k):
-    # -1 would read row 3 of MUL, True would scale by 1, and 4 and 1.0
-    # would fail as an index.
-    with pytest.raises(ValueError, match="scalar must be an int in 0..3"):
-        word_scale(1, k, 1)
+def test_word_times_w_is_mul_by_omega_on_every_5_symbol_word():
+    for symbols in itertools.product(ELEMENTS, repeat=5):
+        word = Gf4Word.from_symbols(symbols)
+        assert tuple(Gf4Word(word_times_w(word.bits, 5), 5)) == tuple(
+            MUL[OMEGA][s] for s in symbols)
+
+
+@pytest.mark.parametrize("bits", [1 << 20, -1, 1.0, Gf4Word(0, 10)],
+                         ids=["1048576", "-1", "1.0", "Gf4Word"])
+def test_word_times_w_refuses_a_bad_word(bits):
+    # 1 << 20 would drop its eleventh symbol and -1 would read as all W;
+    # 1.0 and a Gf4Word would fail later, as a shift.
+    with pytest.raises(ValueError, match="not a packed 10-symbol word"):
+        word_times_w(bits, 10)
 
 
 @pytest.mark.parametrize("bits,n", [(-1, 10), (1 << 20, 10), (1 << 24, 10), (5, 1),

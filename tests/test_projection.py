@@ -275,6 +275,9 @@ BAD_ARRAY_ARGUMENTS = {
     "candidates_for-symbol-1.0": (candidates_for, 1.0, 0, "symbol must lie in 0..3, got 1.0"),
     "column_nibble-0": (column_nibble, 1, 0, "column must lie in 1..10, got 0"),
     "column_nibble-11": (column_nibble, 1, 11, "column must lie in 1..10, got 11"),
+    # A float would fail later, as a shift; True would read column 1.
+    "column_nibble-1.0": (column_nibble, 1, 1.0, "column must lie in 1..10, got 1.0"),
+    "column_nibble-True": (column_nibble, 1, True, "column must lie in 1..10, got True"),
 }
 
 

@@ -3,18 +3,17 @@ import random
 import pytest
 
 from sd40 import quaternary
-from sd40.gf4 import Gf4Word, InternalInvariantError, trace_inner, word_scale, word_weight
+from sd40.gf4 import Gf4Word, InternalInvariantError, trace_inner, word_times_w, word_weight
 from sd40.quaternary import (
-    GROUP_ORDER,
+    GENERATORS,
     ORBIT_TYPES,
-    MonomialSymmetry,
     OrbitType,
     QuaternaryGeneratorMatrix,
     b10_matrix,
     classify_type,
     e10_matrix,
     enumerate_code,
-    full_symmetry_group,
+    orbit,
     orbit_census,
     orbit_lookup,
 )
@@ -46,7 +45,7 @@ def test_rows_pairwise_trace_orthogonal():
 def test_omega_rows():
     for m in (e10_matrix(), b10_matrix()):
         for i in range(5):
-            assert m.rows[5 + i] == word_scale(m.rows[i], 2, 10)
+            assert m.rows[5 + i] == word_times_w(m.rows[i], 10)
 
 
 def test_weight_enumerator(e10, b10):
@@ -96,67 +95,44 @@ def test_generator_rows_are_five_words_of_length_ten():
             QuaternaryGeneratorMatrix("bad", rows)
 
 
-def test_symmetry_validation():
-    with pytest.raises(ValueError):
-        MonomialSymmetry((0, 1, 2, 3, 4), (True, False, False, False, False), 1)
-    with pytest.raises(ValueError):
-        MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 0)
-    with pytest.raises(ValueError):
-        MonomialSymmetry((0, 0, 2, 3, 4), (False,) * 5, 1)
-    # Floats equal to valid ints would fail later, as a shift or an index.
-    with pytest.raises(ValueError):
-        MonomialSymmetry((0.0, 1, 2, 3, 4), (False,) * 5, 1)
-    with pytest.raises(ValueError):
-        MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 2.0)
-    # Swaps are five booleans: a sum of 2 is not two swapped blocks.
-    for swaps in ((2, 0, 0, 0, 0), (0.5, 0.5, 1, 0, 0), (True, True),
-                  (1.0, 1.0, False, False, False)):
-        with pytest.raises(ValueError):
-            MonomialSymmetry((0, 1, 2, 3, 4), swaps, 1)
+def apply(name, text):
+    return Gf4Word(GENERATORS[name](Gf4Word.from_string(text).bits), 10).to_string()
 
 
 def test_symmetry_actions():
-    ident = MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 1)
-    w = Gf4Word.from_string("1111000000").bits
-    assert ident.apply(w) == w
-    scale = MonomialSymmetry((0, 1, 2, 3, 4), (False,) * 5, 2)
-    assert Gf4Word(scale.apply(w), 10).to_string() == "wwww000000"
-    swap12 = MonomialSymmetry((1, 0, 2, 3, 4), (False,) * 5, 1)
-    out = swap12.apply(Gf4Word.from_string("1100000000").bits)
-    assert Gf4Word(out, 10).to_string() == "0011000000"
-    # An 11-symbol word, a negative int and a Gf4Word are no packed words.
-    for bad in (1 << 20, -1, Gf4Word(0, 10)):
-        with pytest.raises(ValueError, match="not a packed 10-symbol word"):
-            ident.apply(bad)
-
-
-# The three printed group generators: (12)(34), (13)(24), (13579)(2468 10).
-PRINTED_GENERATORS = (
-    MonomialSymmetry((0, 1, 2, 3, 4), (True, True, False, False, False), 1),
-    MonomialSymmetry((1, 0, 2, 3, 4), (False,) * 5, 1),
-    MonomialSymmetry((4, 0, 1, 2, 3), (False,) * 5, 1),
-)
+    # Each word moves every symbol its map touches, so a mask that kept or
+    # dropped a wrong bit pair would change the image.
+    assert apply("(12)(34)", "1wWww1W01w") == "w1wWw1W01w"
+    assert apply("(12)(34)", "01w0000W00") == "100w000W00"
+    assert apply("(13)(24)", "1wW0w1W01w") == "W01ww1W01w"
+    assert apply("w", "0W1w01w0W0") == "01wW0wW010"
+    # Each generator has the order of its cycle type; w has order 3.
+    word = Gf4Word.from_string("1wW0w1W01w").bits
+    for name, order in (("(12)(34)", 2), ("(13)(24)", 2), ("(13579)(2468 10)", 5), ("w", 3)):
+        images = [word]
+        for _ in range(order):
+            images.append(GENERATORS[name](images[-1]))
+        assert images[-1] == word and len(set(images)) == order
 
 
 def test_printed_generators_preserve_code(e10):
-    for sym in PRINTED_GENERATORS:
-        assert {sym.apply(w) for w in e10.word_set} == e10.word_set
+    assert set(GENERATORS) == {"(12)(34)", "(13)(24)", "(13579)(2468 10)", "w"}
+    for g in GENERATORS.values():
+        assert {g(w) for w in e10.word_set} == e10.word_set
 
 
-def test_random_group_elements_preserve_code(e10):
-    rng = random.Random(99)
-    group = full_symmetry_group()
-    assert len(group) == GROUP_ORDER
-    for sym in rng.sample(group, 100):
-        assert {sym.apply(w) for w in e10.word_set} == e10.word_set
+def test_generators_reach_the_whole_monomial_group():
+    # Each generator permutes blocks, swaps inside an even number of them or
+    # scales, so it lies in the monomial group of order 5! x 16 x 3 = 5760.
+    # An orbit of 5760 words then shows that the four generate all of it.
+    assert len(orbit(0x91B75)) == 5 * 4 * 3 * 2 * 16 * 3 == 5760
+    assert Gf4Word(0x91B75, 10).to_string() == "11W1Ww101w"
 
 
 def test_block_cycle_matches_coordinate_cycle():
     # (13579)(2468 10) sends coordinate 1 -> 3, 3 -> 5, ..., 9 -> 1.
-    sym = PRINTED_GENERATORS[2]
-    w = Gf4Word.from_symbols((1, 2, 0, 0, 0, 0, 0, 0, 0, 0)).bits
-    out = Gf4Word(sym.apply(w), 10)
-    assert tuple(out) == (0, 0, 1, 2, 0, 0, 0, 0, 0, 0)
+    assert apply("(13579)(2468 10)", "1w00000000") == "001w000000"
+    assert apply("(13579)(2468 10)", "1w0W01w0Ww") == "Ww1w0W01w0"
 
 
 def test_orbit_census_matches_table(e10):
