@@ -18,13 +18,15 @@ unknown errors.  E10 is GF(4)-linear, so the projection search depends
 on the erasure set and not on the word.  Each of the 176 erasure sets a
 case can give gets one lazily built list of the projection error words
 inside its budget (9,551 in all), and the decoders differ only in how
-they search it.  The representation decoder stops at the first listed e
-with y + e in E10: two listed words differ in at most k + 2*errors <= 3
-symbols and E10 has minimum distance 4, so no second e fits.  The
-syndrome decoder looks s = H conj(y)^T up in a per-budget table from
-syndrome to listed error word, H being the five GF(4)-basis rows of the
-code's generator matrix; building that table checks that no two listed
-words share a syndrome, the uniqueness the budget bound promises.
+they search it.  The representation decoder clears y's first erasure
+column and probes the listed e zero there (31, 28, 4, 16 in cases I-IV)
+in E10 keyed with that column cleared, which finds a budget's codeword
+whatever it holds there.  Two probes differ in at most 2 symbols
+(k - 1 + 2*errors, or 2 if k = 0) and E10 keeps distance 3 with a column
+cleared (4 if k = 0), so no second hit fits.  The syndrome decoder looks
+s = H conj(y)^T up in a per-budget table from syndrome to listed error
+word, H being the five GF(4)-basis rows of the code's generator matrix;
+building that table checks that no two listed words share a syndrome.
 
 The corrected projection is then written back into the array by the
 column-rewrite lift; a received word is decodable exactly when the lift
@@ -172,17 +174,30 @@ def _e10_words() -> frozenset[int]:
     return table.word_set
 
 
+@functools.lru_cache(maxsize=None)
+def _e10_index(keep: int) -> dict[int, int]:
+    """E10 keyed by its codewords masked by keep, which clears at most one column."""
+    return {w & keep: w for w in _e10_words()}
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _probes(*erasures: int) -> tuple[int, dict[int, int], tuple[int, ...]]:
+    """The mask clearing the first erasure column, its index, and the budget zero there."""
+    patterns = _budget_patterns(*erasures)  # checks the erasures first
+    keep = ~(3 << 2 * (erasures[0] - 1)) if erasures else -1
+    return keep, _e10_index(keep), tuple(e for e in patterns if e & keep == e)
+
+
 def find_closest_in_e10(y: int, erasures: tuple[int, ...] = ()) -> int | None:
     """The unique codeword within the budget of the erasure set from y, or
     None.  ValueError: y is no 10-symbol projection, an erasure is no int
     column 1..10, or there are more than three erasures.
     InternalInvariantError: E10 has a nonzero word of weight below 4."""
-    patterns = _budget_patterns(*erasures)
-    codewords = _e10_words()
-    y = packed(y, N_COLS)
-    for e in patterns:
-        if y ^ e in codewords:  # the only hit (see the module doc)
-            return y ^ e
+    keep, index, probes = _probes(*erasures)
+    y = packed(y, N_COLS) & keep
+    for e in probes:
+        if y ^ e in index:  # the only hit (see the module doc)
+            return index[y ^ e]
     return None
 
 

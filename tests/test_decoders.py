@@ -395,17 +395,22 @@ def test_lift_picks_move_with_a_translating_column():
     assert (moved, complemented) == (1_664, 384)
 
 
+def _coset_words(table):
+    """One received word per binary syndrome coset of the table's code, 2^20
+    in all.  The unit vectors at the reduced rows' pivot bits have syndromes
+    1, 2, 4, ..., so entry i of their span has syndrome i."""
+    return xor_span([1 << (row.bit_length() - 1) for row in table.rows])
+
+
 @pytest.mark.sweep
 @pytest.mark.parametrize("code", ["DE", "SE"])
 def test_every_syndrome_coset_matches_the_oracle(code, de_oracle, se_oracle):
-    # One received word per binary syndrome coset, 2^20 in all.  The unit
-    # vectors at the reduced rows' pivot bits have syndromes 1, 2, 4, ...,
-    # so entry i of their span has syndrome i.  With the translation
-    # invariance above, this covers all 2^40 received words.
+    # With the translation invariance above, one word per coset covers all
+    # 2^40 received words.
     table = de_oracle if code == "DE" else se_oracle
     leaders = table.leader_index
     correctable = 0
-    for i, v in enumerate(xor_span([1 << (row.bit_length() - 1) for row in table.rows])):
+    for i, v in enumerate(_coset_words(table)):
         assert table._syndrome(v) == i
         e = leaders.get(i)
         want = None if e is None else v ^ e
@@ -561,20 +566,80 @@ def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
     weights = {**e10.weight_distribution, 3: 1}
     monkeypatch.setattr(dc, "e10_table", lambda: quaternary.CodeTable(
         e10.name, e10.word_set, weights))
-    dc._e10_words.cache_clear()
+    # The indexes and the probe lists that hold them are built from the
+    # checked set, so they are cleared with it.
+    caches = (dc._e10_words, dc._e10_index, dc._probes)
+    for cache in caches:
+        cache.cache_clear()
     try:
         with pytest.raises(dc.InternalInvariantError):
             dc.find_closest_in_e10(0)
         with pytest.raises(dc.InternalInvariantError):
             dc.represent_decode(0)
     finally:
-        dc._e10_words.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     monkeypatch.undo()
     assert dc.find_closest_in_e10(0) == 0
 
 
+def test_punctured_indexes_and_probe_lists():
+    # The representation search clears y's first erasure column (none in
+    # case I) and probes, in E10 keyed with that column cleared, the budget
+    # words that are zero there, in budget order.  One index serves every
+    # erasure set with that first column: 11 in all, each keeping the 1,024
+    # codewords apart.
+    full = (1 << 20) - 1
+    lengths, indexes = Counter(), {}
+    for erasures in _case_erasure_sets():
+        keep, index, probes = dc._probes(*erasures)
+        cleared = 3 << 2 * (erasures[0] - 1) if erasures else 0
+        assert keep & full == full ^ cleared, erasures
+        assert probes == tuple(e for e in dc._budget_patterns(*erasures) if not e & cleared)
+        assert indexes.setdefault(cleared, index) is index
+        lengths[len(erasures), len(probes)] += 1
+    assert lengths == {(0, 31): 1, (1, 28): 10, (2, 4): 45, (3, 16): 120}
+    assert len(indexes) == 11
+    for cleared, index in indexes.items():
+        assert len(index) == 1_024
+        assert set(index.values()) == dc._e10_words()
+        assert all(key == word & ~cleared for key, word in index.items())
+
+
+@pytest.mark.sweep
+def test_representation_probes_over_every_coset(monkeypatch, de_oracle):
+    # The work of the representation search on one word of each of the 2^20
+    # DE syndrome cosets, counted as membership tests in its E10 indexes.
+    # Every index is swapped for a copy that counts them, so the count is
+    # the real search's.
+    probes = [0]
+
+    class CountingIndex(dict):
+        def __contains__(self, key):
+            probes[0] += 1
+            return dict.__contains__(self, key)
+
+    index = dc._e10_index
+    monkeypatch.setattr(dc, "_e10_index", lambda keep: CountingIndex(index(keep)))
+    dc._probes.cache_clear()
+    calls, by_case = Counter(), Counter()
+    try:
+        for v in _coset_words(de_oracle):
+            before = probes[0]
+            case = dc.represent_decode(v).case
+            calls[case and case.case_id] += 1
+            by_case[case and case.case_id] += probes[0] - before
+    finally:
+        dc._probes.cache_clear()
+    assert probes[0] == sum(by_case.values()) == 4_789_198
+    assert calls == {None: 688_128, "IV": 245_760, "III": 92_160, "II": 20_480, "I": 2_048}
+    # Per case, at most 31, 28, 4 and 16 probes a call.
+    assert by_case == {None: 0, "IV": 3_816_960, "III": 366_480, "II": 543_200, "I": 62_558}
+
+
 def test_budget_argument_checks():
-    # The erasure 1.0 equals column 1, so it must not reach that budget's cache.
+    # The erasure 1.0 equals column 1, so it must not reach that budget's
+    # cache, nor the probe list built after the budget checks its erasures.
     dc.find_closest_in_e10(0, (1,))
     for erasures in ((1, 1), (0,), (11,), (1.0,)):
         with pytest.raises(ValueError):
