@@ -133,7 +133,7 @@ def _oracle_decode(v: int, code: str) -> dc.DecodeOutcome:
     case = dc.classify_case(v)
     if cw is None:
         return dc._failure("oracle", case)
-    return dc.DecodeOutcome("oracle", cw, pj.flip_positions(v ^ cw), case)
+    return dc.DecodeOutcome("oracle", cw, v ^ cw, case)
 
 
 def _decoders() -> dict:

@@ -55,9 +55,10 @@ Every stage takes and hands out projections, syndromes and error words
 as packed ints, checked by gf4.packed, so a decode builds no Gf4Word.
 A case carries the parity vector it was looked up by, and the lift takes
 it and the projection from the decode instead of reading v again.  A
-DecodeOutcome stores four facts and derives ok, reason and the corrected
-projection, which the lift writes into the codeword.  A declared failure
-is one shared outcome per (algorithm, case), 2 x 353.
+DecodeOutcome stores four facts, the flips as the one 40-bit mask
+received ^ codeword, and derives ok, reason, the flipped bits and the
+corrected projection, which the lift writes into the codeword.  A
+declared failure is one shared outcome per (algorithm, case), 2 x 353.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from dataclasses import dataclass, field
 
 from .gf4 import (InternalInvariantError, byte_tables, hermitian_inner, leader_table, packed,
                   xor_span)
-from .projection import N_COLS, LiftError, lift, parity_profile, proj_bits
+from .projection import N_BITS, N_COLS, LiftError, lift, parity_profile, proj_bits
 from .quaternary import e10_matrix, e10_table
 
 FAILURE_REASON = "more than three errors occurred"
@@ -121,12 +122,17 @@ class DecodeOutcome:
 
     algorithm: str
     codeword: int | None
-    flipped_bits: tuple[int, ...]
+    flips: int  # received ^ codeword, 0 for a declared failure
     case: CaseLabel | None
 
     @property
     def ok(self) -> bool:
         return self.codeword is not None
+
+    @property
+    def flipped_bits(self) -> tuple[int, ...]:
+        """The 1-based flipped coordinates, in increasing order."""
+        return tuple(i for i in range(1, N_BITS + 1) if self.flips >> (N_BITS - i) & 1)
 
     @property
     def reason(self) -> str | None:
@@ -252,7 +258,7 @@ def solve_syndrome(s: int, erasures: tuple[int, ...] = ()) -> int | None:
 @functools.lru_cache(maxsize=None)
 def _failure(algorithm: str, case: CaseLabel | None) -> DecodeOutcome:
     """The shared declared-failure outcome of an algorithm and case."""
-    return DecodeOutcome(algorithm, None, (), case)
+    return DecodeOutcome(algorithm, None, 0, case)
 
 
 def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
@@ -274,11 +280,10 @@ def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
     # wants it even regardless.
     top_parity = case.majority_parity if code == "DE" else 0
     try:  # the front in the layout lift documents, so lift reads v once
-        word, flips = lift(v, corrected, case.majority_parity, top_parity,
-                           front=y | case.parities << 20)
+        word = lift(v, corrected, case.majority_parity, top_parity, front=y | case.parities << 20)
     except LiftError:
         return _failure(algorithm, case)
-    return DecodeOutcome(algorithm, word, flips, case)
+    return DecodeOutcome(algorithm, word, v ^ word, case)
 
 
 def represent_decode(v: int, code: str = "DE", members: None = None) -> DecodeOutcome:

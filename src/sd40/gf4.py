@@ -12,8 +12,8 @@ layer passes words packed; `Gf4Word` only prints and parses them.
 
 Every linear structure in the package (codeword tables of GF(2)-spans and
 lookup tables of GF(2)-linear maps) is built by `xor_span`, as a list.
-Only the exhaustive 2^20 checks need an array; `xor_span_array` composes
-it from two list spans and imports numpy when it is called.
+Only the oracle's linear scan needs a 2^20 array; `xor_span_array`
+composes it from two list spans and imports numpy when it is called.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ def xor_span(rows: Sequence[int]) -> list[int]:
 
 
 def xor_span_array(rows: Sequence[int]):
-    """`xor_span` as a uint64 numpy array, for the 2^20 spans that only
-    the exhaustive checks read: the outer XOR of the list spans of the
+    """`xor_span` as a uint64 numpy array, for the 2^20 span that only
+    the oracle's linear scan reads: the outer XOR of the list spans of the
     high and low halves of the rows, so entry i is still the XOR of the
     rows at the set bits of i."""
     import numpy as np

@@ -49,16 +49,6 @@ class LiftError(Exception):
     """No consistent rewrite of the array within the flip budget."""
 
 
-def column_nibble(v: int, col: int) -> int:
-    """Column col (1-based) of the array as a 4-bit value, row 0 on top.
-    ValueError: v is no 40-bit word or col lies outside 1..10."""
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"word {v} is not a {N_BITS}-bit word")
-    if type(col) is not int or not 1 <= col <= N_COLS:
-        raise ValueError(f"column must lie in 1..{N_COLS}, got {col!r}")
-    return (v >> (4 * (N_COLS - col))) & 0xF
-
-
 def proj_bits(v: int) -> int:
     """Packed projection of a 40-bit word (hot-path form).  v must lie in
     [0, 2^40): any other int is read by its low 40 bits, silently."""
@@ -126,7 +116,7 @@ def lift(
     column_parity: int,
     top_row_parity: int,
     front: int | None = None,
-) -> tuple[int, tuple[int, ...]]:
+) -> int:
     """Rewrite columns of v so that its projection becomes the packed
     word y_corrected, every column has the given parity and the top row
     the given parity, flipping as few bits as possible.
@@ -137,7 +127,7 @@ def lift(
     the resulting top-row parity is off, the single cheapest candidate
     swap fixes it (complementing a column always toggles its top bit).
 
-    Returns the rewritten word and the 1-based flipped coordinates.
+    Returns the rewritten word; XOR with v gives the mask of flipped bits.
     Raises LiftError when no rewrite exists within RADIUS flips, and
     ValueError when v is not a 40-bit word or a parity is not 0 or 1.
     A caller that has read v already passes front, the packed projection
@@ -179,30 +169,18 @@ def lift(
         total += 4 - 2 * best_dist
     if total > RADIUS:
         raise LiftError(f"{total} flips needed, budget is {RADIUS}")
-    flips = flip_positions(v ^ out)
-    if len(flips) != total:
-        raise InternalInvariantError(f"{len(flips)} bits flipped, {total} counted")
-    return out, flips
-
-
-def flip_positions(diff: int) -> tuple[int, ...]:
-    """The 1-based coordinates of the set bits of a 40-bit difference, in
-    increasing order.  ValueError: diff lies outside [0, 2^40)."""
-    if diff >> N_BITS:  # -1 for every negative diff
-        raise ValueError(f"difference {diff} is not a {N_BITS}-bit word")
-    flips = []
-    while diff:
-        bit = diff.bit_length() - 1
-        diff ^= 1 << bit
-        flips.append(N_BITS - bit)
-    return tuple(flips)
+    if (v ^ out).bit_count() != total:
+        raise InternalInvariantError(f"{(v ^ out).bit_count()} bits flipped, {total} counted")
+    return out
 
 
 def format_array_text(v: int) -> str:
     """Four lines of ten characters, rows in label order 0, 1, w, W.
     ValueError: v is no 40-bit word."""
-    return "".join("".join(str(column_nibble(v, c) >> (3 - row) & 1) for c in range(1, N_COLS + 1))
-                   + "\n" for row in range(4))
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"word {v} is not a {N_BITS}-bit word")
+    bits = format(v, f"0{N_BITS}b")  # column c is bits[4c-4:4c], row r every fourth from r
+    return "".join(bits[row::4] + "\n" for row in range(4))
 
 
 def parse_bit_rows(text: str, count: int, width: int) -> tuple[int, ...]:

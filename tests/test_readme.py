@@ -1,0 +1,79 @@
+import re
+from pathlib import Path
+
+from sd40 import decoders as dc
+from sd40.constructions import c40_de
+from sd40.oracle import build_oracle
+from sd40.quaternary import orbit, orbit_census, orbit_lookup
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _erasure_sets():
+    return {case.erasure_columns for case in filter(None, dc._CASES)}
+
+
+def _budgets():
+    """The erasure sets the case table gives and the error words of their budgets."""
+    sets = _erasure_sets()
+    return [len(sets), sum(len(dc._budget_patterns(*erasures)) for erasures in sets)]
+
+
+def _probes_per_case():
+    """The representation search's probes per call, case by case; a case
+    whose erasure sets disagree gives more than one number."""
+    counts = {}
+    for case in filter(None, dc._CASES):
+        counts.setdefault(case.case_id, set()).add(len(dc._probes(*case.erasure_columns)[2]))
+    return [n for case_id in ("I", "II", "III", "IV") for n in sorted(counts[case_id])]
+
+
+def _coset_leaders():
+    return [len(build_oracle(c40_de()).leader_index)]
+
+
+# A pattern that finds a count in README.md, each number a group, and the
+# code that owns it.  The pattern must match somewhere, and every match
+# must read the owner's numbers.
+COUNTS = {
+    r"\(([\d,]+) sets, ([\d,]+) words\)": _budgets,
+    r"all ([\d,]+) error patterns of weight <= 3": _coset_leaders,
+    r"the ([\d,]+)-entry\s+coset-leader index": _coset_leaders,
+    r"(\d+), (\d+), (\d+) and (\d+) in cases I-IV": _probes_per_case,
+    r"one of (\d+) indexes of E10": lambda: [len({dc._probes(*e)[0] for e in _erasure_sets()})],
+    r"each index's ([\d,]+) keys": lambda: sorted({len(dc._probes(*e)[1]) for e in _erasure_sets()}),
+    r"tile the ([\d,]+) nonzero E10 codewords": lambda: [len(orbit_lookup())],
+    r"cover the ([\d,]+) words, each once": lambda: [len(orbit_lookup())],
+    r"(\d+), (\d+), (\d+), (\d+), (\d+), (\d+), (\d+) and (\d+) words in types 1-8":
+        lambda: [orbit_census()[t] for t in range(1, 9)],
+    # 11W1Ww101w has no nontrivial stabiliser, so its orbit is the group.
+    r"an orbit of ([\d,]+) words under the\s+four generators": lambda: [len(orbit(0x91B75))],
+}
+
+
+def _count_mismatches(text):
+    """Patterns of COUNTS that README text lacks, or that it states with
+    numbers other than the owner's."""
+    found = []
+    for pattern, owner in COUNTS.items():
+        stated = [[int(g.replace(",", "")) for g in m.groups()] for m in re.finditer(pattern, text)]
+        want = owner()
+        if not stated or any(numbers != want for numbers in stated):
+            found.append(f"{pattern}: README {stated or 'has no match'}, code {want}")
+    return found
+
+
+def test_readme_counts_match_the_code():
+    found = _count_mismatches(README.read_text())
+    assert not found, found
+
+
+def test_readme_count_check_sees_an_edited_number():
+    text = README.read_text()
+    assert "10,701-entry" in text and "(176 sets" in text
+    edited = text.replace("10,701-entry", "10,702-entry").replace("(176 sets", "(175 sets")
+    found = _count_mismatches(edited)
+    assert [entry.split(":")[0] for entry in found] == [
+        r"\(([\d,]+) sets, ([\d,]+) words\)", r"the ([\d,]+)-entry\s+coset-leader index"]
+    assert _count_mismatches(text.replace("all 10,701 error", "all error")) == [
+        r"all ([\d,]+) error patterns of weight <= 3: README has no match, code [10701]"]
