@@ -130,10 +130,7 @@ def _array_block(v: int, y: int, label: str) -> list[str]:
 def _oracle_decode(v: int, code: str) -> dc.DecodeOutcome:
     """The coset-leader oracle's verdict as an outcome of the parity case."""
     cw = oc.indexed_decode(v, _oracle_for(code))
-    case = dc.classify_case(v)
-    if cw is None:
-        return dc._failure("oracle", case)
-    return dc.DecodeOutcome("oracle", cw, v ^ cw, case)
+    return dc.DecodeOutcome("oracle", cw, 0 if cw is None else v ^ cw, dc.classify_case(v))
 
 
 def _decoders() -> dict:

@@ -53,11 +53,11 @@ codeword within three flips, so it moves by c and the flips stay put.
 
 Every stage takes and hands out projections, syndromes and error words
 as packed ints, checked by gf4.packed, so a decode builds no Gf4Word.
-A case carries the parity vector it was looked up by, and the lift takes
-it and the projection from the decode instead of reading v again.  A
-DecodeOutcome stores four facts, the flips as the one 40-bit mask
-received ^ codeword, and derives ok, reason, the flipped bits and the
-corrected projection, which the lift writes into the codeword.  A
+The lift takes the error word either search gives and the case, its
+majority parity and erasure columns, and reads no projection or parity
+of v.  A DecodeOutcome stores four facts, the flips as the one 40-bit
+mask received ^ codeword, and derives ok, reason, the flipped bits and
+the corrected projection, which the lift writes into the codeword.  A
 declared failure is one shared outcome per (algorithm, case), 2 x 353.
 """
 
@@ -82,7 +82,7 @@ class CaseLabel:
     case_id: str  # "I".."IV"
     majority_parity: int
     erasure_columns: tuple[int, ...]  # 1-based minority columns
-    parities: int = field(compare=False, repr=False)  # the vector classified
+    erasure_bits: int = field(compare=False, repr=False)  # column c at bit 2c-2, for lift
 
     @property
     def parity_split(self) -> str:
@@ -103,7 +103,8 @@ def _case_table() -> tuple[CaseLabel | None, ...]:
             # The minority columns are the odd ones under an even majority
             # and the even ones under an odd majority.
             for majority, parities in ((0, mask), (1, mask ^ ((1 << N_COLS) - 1))):
-                table[parities] = CaseLabel(case_id, majority, minority, parities)
+                table[parities] = CaseLabel(case_id, majority, minority,
+                                            sum(1 << (2 * c - 2) for c in minority))
     return tuple(table)
 
 
@@ -270,17 +271,16 @@ def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
     y = proj_bits(v)
     if algorithm == "representation":
         corrected = find_closest_in_e10(y, case.erasure_columns)
+        error = None if corrected is None else y ^ corrected
     else:
-        err = solve_syndrome(syndrome(y), case.erasure_columns)
-        # y + e has syndrome zero, so it is an E10 codeword.
-        corrected = None if err is None else y ^ err
-    if corrected is None:
+        error = solve_syndrome(syndrome(y), case.erasure_columns)
+    if error is None:
         return _failure(algorithm, case)
     # Projection O ties the top row to the column parity; projection E
     # wants it even regardless.
     top_parity = case.majority_parity if code == "DE" else 0
-    try:  # the front in the layout lift documents, so lift reads v once
-        word = lift(v, corrected, case.majority_parity, top_parity, front=y | case.parities << 20)
+    try:
+        word = lift(v, error, case, top_parity)
     except LiftError:
         return _failure(algorithm, case)
     return DecodeOutcome(algorithm, word, v ^ word, case)

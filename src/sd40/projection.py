@@ -12,7 +12,12 @@ into the array with a forced number of bit flips.
 
 from __future__ import annotations
 
-from .gf4 import InternalInvariantError, byte_tables, nonzero_mask, packed, xor_span
+from typing import TYPE_CHECKING
+
+from .gf4 import InternalInvariantError, byte_tables, nonzero_mask, packed
+
+if TYPE_CHECKING:  # decoders imports this module
+    from .decoders import CaseLabel
 
 N_BITS = 40
 N_COLS = 10
@@ -37,11 +42,6 @@ COLUMN_PATTERNS = (
 # column's symbol and the parity toggles the column's bit.
 _PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
 _PROJ_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
-_PROJ_MASK = (1 << (2 * N_COLS)) - 1
-
-# 10-bit column mask -> the same mask with bit i moved to bit 2i, the
-# position layout of packed GF(4) words.
-_SPREAD = tuple(xor_span([1 << (2 * i) for i in range(N_COLS)]))
 _LOW_BITS = nonzero_mask(N_COLS)  # the low bit of every symbol
 
 
@@ -96,55 +96,45 @@ def has_projection_e(v: int, code_words: frozenset[int]) -> bool:
     return _has_projection(v, code_words, False)
 
 
-def _cheaper_candidate(nibble: int, value: int, parity: int) -> tuple[int, int]:
-    """The candidate column for (value, parity) nearer to nibble, the
-    first one on a tie at distance 2, and its distance."""
-    a, b = candidates_for(value, parity)
+def _cheaper_candidate(nibble: int, symbol: int, parity: int) -> tuple[int, int]:
+    """The candidate column for (proj(nibble) + symbol, parity) nearer to
+    nibble, the first one on a tie at distance 2, and its distance; the low
+    nibble is column 10, whose symbol proj_bits puts at bit 18."""
+    a, b = candidates_for(proj_bits(nibble) >> 18 ^ symbol, parity)
     da = (nibble ^ a).bit_count()
     return (a, da) if da <= 4 - da else (b, 4 - da)
 
 
-# (nibble | value << 4 | parity << 6) -> (pick, distance).
+# (nibble | error symbol << 4 | parity << 6) -> (pick, distance).
 _LIFT_PICKS = tuple(
     _cheaper_candidate(key & 0xF, (key >> 4) & 3, key >> 6) for key in range(128)
 )
 
 
-def lift(
-    v: int,
-    y_corrected: int,
-    column_parity: int,
-    top_row_parity: int,
-    front: int | None = None,
-) -> int:
-    """Rewrite columns of v so that its projection becomes the packed
-    word y_corrected, every column has the given parity and the top row
-    the given parity, flipping as few bits as possible.
+def lift(v: int, error: int, case: CaseLabel, top_row_parity: int) -> int:
+    """Rewrite columns of v so that its projection becomes proj(v) + error,
+    every column takes the majority parity of case, the parity case of v,
+    and the top row the given parity, flipping as few bits as possible.
 
-    Only columns whose projection value must change or whose parity is
-    wrong are touched.  Each such column admits exactly two candidate
-    nibbles (complements of each other); the cheaper one is taken, and if
-    the resulting top-row parity is off, the single cheapest candidate
-    swap fixes it (complementing a column always toggles its top bit).
+    Only the columns where error is nonzero and the case's erasure columns
+    are touched.  Each such column admits exactly two candidate nibbles
+    (complements of each other); the cheaper one is taken, and if the
+    resulting top-row parity is off, the single cheapest candidate swap
+    fixes it (complementing a column always toggles its top bit).
 
     Returns the rewritten word; XOR with v gives the mask of flipped bits.
     Raises LiftError when no rewrite exists within RADIUS flips, and
-    ValueError when v is not a 40-bit word or a parity is not 0 or 1.
-    A caller that has read v already passes front, the packed projection
-    of v in bits 0-19 and its column parities (as parity_profile gives
-    them) from bit 20; lift then neither reads them from v again nor
-    checks v or y_corrected.
+    ValueError when v is not a 40-bit word, error is no packed 10-symbol
+    word or top_row_parity is not 0 or 1.
     """
-    if front is None:  # parity_profile first: it checks v, proj_bits does not
-        front, y_corrected = parity_profile(v) << 20 | proj_bits(v), packed(y_corrected, N_COLS)
-    if not (type(column_parity) is int and type(top_row_parity) is int
-            and column_parity in (0, 1) and top_row_parity in (0, 1)):
-        raise ValueError(f"parities must be 0 or 1, got {column_parity!r} and {top_row_parity!r}")
-    wrong_value = (front & _PROJ_MASK) ^ y_corrected
-    wrong_parity = (front >> (2 * N_COLS)) ^ ((1 << N_COLS) - 1 if column_parity else 0)
+    if v >> N_BITS:  # -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
+    error = packed(error, N_COLS)
+    if not (type(top_row_parity) is int and top_row_parity in (0, 1)):
+        raise ValueError(f"top-row parity must be 0 or 1, got {top_row_parity!r}")
     # Bit 2i is set when column i+1 must be rewritten.
-    todo = ((wrong_value | (wrong_value >> 1)) & _LOW_BITS) | _SPREAD[wrong_parity]
-    parity_key = column_parity << 6
+    todo = ((error | (error >> 1)) & _LOW_BITS) | case.erasure_bits
+    parity_key = case.majority_parity << 6
     total = 0
     best_dist = best_shift = -1
     out = v
@@ -154,7 +144,7 @@ def lift(
         pos = low.bit_length() >> 1  # 0-based column index
         shift = 4 * (N_COLS - 1 - pos)
         cur = (v >> shift) & 0xF
-        pick, dist = _LIFT_PICKS[cur | ((y_corrected >> (2 * pos)) & 3) << 4 | parity_key]
+        pick, dist = _LIFT_PICKS[cur | ((error >> (2 * pos)) & 3) << 4 | parity_key]
         out ^= (cur ^ pick) << shift
         total += dist
         # Swapping a column to its complement costs 4 - 2d extra flips, so the

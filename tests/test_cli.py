@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sd40 import cli
+from sd40 import decoders as dc
 from sd40.constructions import d4_block, printed_de_matrix, printed_se_matrix
 from sd40.gf4 import InternalInvariantError
 from sd40.projection import parse_array_text
@@ -171,6 +172,16 @@ def test_verbose_oracle_failure(capsys):
     code, repr_out, _ = run(capsys, "decode", v, "--verbose")
     assert code == cli.EXIT_FAILURE
     assert out == _as_oracle(repr_out)
+
+
+def test_oracle_failure_shares_no_decoder_outcome(monkeypatch):
+    # The decoders share one declared failure per (algorithm, case), 2 x
+    # 353; the oracle's failure is an outcome of its own.
+    calls = []
+    monkeypatch.setattr(dc, "_failure", lambda *args: calls.append(args))
+    v = printed_de_matrix().encode(0xBEEF5) ^ d4_block(4)
+    assert cli._oracle_decode(v, "DE") == dc.DecodeOutcome("oracle", None, 0, dc.classify_case(v))
+    assert calls == []
 
 
 def test_verbose_syndrome_failure(capsys):

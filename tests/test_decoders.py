@@ -381,17 +381,18 @@ def test_lift_picks_move_with_a_translating_column():
     # {0000, 1111}, so the two candidate nibbles and their distances move
     # with c's column and the flip count is unchanged: a distance-2 tie
     # picks one of two complements".  Column t of a codeword translates a
-    # column nibble, the symbol it must take and the parity it must have.
+    # column nibble and the parity it must have; the projection error
+    # symbol, the corrected symbol minus the received one, stays put.
     moved = complemented = 0
-    for nibble, t, value, parity in itertools.product(range(16), range(16), range(4), (0, 1)):
-        pick, dist = _LIFT_PICKS[nibble | value << 4 | parity << 6]
-        key = (nibble ^ t) | (value ^ proj_bits(t << 36)) << 4 | (parity ^ t.bit_count() & 1) << 6
+    for nibble, t, symbol, parity in itertools.product(range(16), range(16), range(4), (0, 1)):
+        pick, dist = _LIFT_PICKS[nibble | symbol << 4 | parity << 6]
+        key = (nibble ^ t) | symbol << 4 | (parity ^ t.bit_count() & 1) << 6
         moved_pick, moved_dist = _LIFT_PICKS[key]
-        assert moved_dist == dist, (nibble, t, value, parity)
+        assert moved_dist == dist, (nibble, t, symbol, parity)
         if moved_pick == pick ^ t:
             moved += 1
         else:
-            assert (moved_pick, dist) == (pick ^ t ^ 0xF, 2), (nibble, t, value, parity)
+            assert (moved_pick, dist) == (pick ^ t ^ 0xF, 2), (nibble, t, symbol, parity)
             complemented += 1
     assert (moved, complemented) == (1_664, 384)
 
@@ -439,7 +440,7 @@ def test_received_word_domain(v):
     with pytest.raises(ValueError):
         dc.syndrome_decode(v, "SE")
     e10_words = quaternary.e10_table().word_set
-    stages = [dc.classify_case, parity_profile, lambda w: lift(w, 0, 0, 0),
+    stages = [dc.classify_case, parity_profile, lambda w: lift(w, 0, dc._CASES[0], 0),
               lambda w: has_projection_o(w, e10_words), lambda w: has_projection_e(w, e10_words)]
     for stage in stages:
         with pytest.raises(ValueError, match="40-bit"):
@@ -458,7 +459,7 @@ from sd40.oracle import build_oracle, indexed_decode
 stage = {
     "classify_case": dc.classify_case,
     "parity_profile": pj.parity_profile,
-    "lift": lambda v: pj.lift(v, 0, 0, 0),
+    "lift": lambda v: pj.lift(v, 0, dc._CASES[0], 0),
     "format_array_text": pj.format_array_text,
     "represent_decode": dc.represent_decode,
     "syndrome_decode": dc.syndrome_decode,
@@ -684,9 +685,9 @@ WRONG_LENGTH = {
     "solve_syndrome-int": (dc.solve_syndrome, 1 << 10),
     "find_closest_in_e10-5": (dc.find_closest_in_e10, Gf4Word.from_string("11110")),
     "find_closest_in_e10-int": (dc.find_closest_in_e10, 1 << 20),
-    "lift-3": (lift, 0, Gf4Word(0, 3), 0, 0),
-    "lift-11": (lift, 0, Gf4Word(0, 11), 0, 0),
-    "lift-int": (lift, 0, 1 << 20, 0, 0),
+    "lift-3": (lift, 0, Gf4Word(0, 3), dc._CASES[0], 0),
+    "lift-11": (lift, 0, Gf4Word(0, 11), dc._CASES[0], 0),
+    "lift-int": (lift, 0, 1 << 20, dc._CASES[0], 0),
     # The bits of an E10 codeword, read as 11 symbols, are no codeword.
     "classify_type-11": (classify_type, Gf4Word(e10_matrix().rows[0], 11)),
     "classify_type-int": (classify_type, 1 << 20),
@@ -701,7 +702,7 @@ WRONG_LENGTH = {
     "syndrome-float": (dc.syndrome, 2.0),
     "solve_syndrome-float": (dc.solve_syndrome, 0.0),
     "find_closest_in_e10-float": (dc.find_closest_in_e10, 1.0),
-    "lift-float": (lift, 0, 0.0, 0, 0),
+    "lift-float": (lift, 0, 0.0, dc._CASES[0], 0),
     "Gf4Word-float": (Gf4Word, 1.0),
     # Nor is a bool or a float a length: True == 1 and 10.0 == 10.
     "Gf4Word-n-bool": (Gf4Word, 3, True),
@@ -802,10 +803,11 @@ def test_decoders_call_each_stage_through_the_module(monkeypatch):
         assert calls == Counter({"classify_case": 1, "parity_profile": 1})
 
 
-def test_corrected_decodes_read_the_front_once(monkeypatch):
+def test_lift_reads_neither_the_projection_nor_the_parities(monkeypatch):
     # classify_case and proj_bits read the parities and the projection;
-    # lift takes both from _decode instead of reading the word again.  The
-    # counters wrap the names lift reads through, not the ones _decode uses.
+    # lift takes the error word and the case from _decode instead of reading
+    # the word again.  The counters wrap the names the projection module
+    # reads through, not the ones _decode uses.
     received = [(parse_array_text(array), "DE") for array, *_ in EXAMPLES.values()]
     received += [(matrix.encode(0xABCDE) ^ 0b1011 << 9, code)
                  for code, matrix in (("DE", printed_de_matrix()), ("SE", printed_se_matrix()))]
@@ -817,7 +819,7 @@ def test_corrected_decodes_read_the_front_once(monkeypatch):
             out = decode(v, code)
             assert out.ok and out.flipped_bits
     assert calls == Counter()
-    assert lift(0, 0, 0, 0) == 0  # the counters do see a read
+    assert has_projection_o(0, frozenset({0}))  # the counters do see a read
     assert calls == Counter({"proj_bits": 1, "parity_profile": 1})
 
 

@@ -10,9 +10,12 @@ from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.decoders import classify_case
 from sd40.gf4 import Gf4Word
 from sd40.projection import (
+    _LIFT_PICKS,
     _PARITY_BYTES,
     _PROJ_BYTES,
     COLUMN_PATTERNS,
+    N_COLS,
+    RADIUS,
     TOP_ROW_MASK,
     LiftError,
     candidates_for,
@@ -78,26 +81,47 @@ def test_byte_tables_match_column_definitions():
             assert _PARITY_BYTES[k][b] == parities
 
 
+def _lift_to(v, target, top_row_parity):
+    """lift with the error word that takes v's projection to target."""
+    return lift(v, proj_bits(v) ^ target, classify_case(v), top_row_parity)
+
+
 def test_lift_tie_rules():
     # Column 1 = 0110 must become symbol 0 with even parity: candidates
     # 0000 and 1111 are both at distance 2, and the first one is taken.
     v = 0x6 << 36
-    assert lift(v, 0, 0, 0) == 0
+    assert _lift_to(v, 0, 0) == 0
     # Same column, top row wanted odd: the only rewritten column is
     # swapped to its complement, costing 4 - 2*2 = 0 extra flips.
-    assert lift(v, 0, 0, 1) == 0xF << 36
+    assert _lift_to(v, 0, 1) == 0xF << 36
     # Two columns at distance 2 and one at distance 1, with the swap: 5
     # flips, over the radius.  Within 3 flips a swap never has two farthest
-    # columns to choose between.
+    # columns to choose between (see the test below).
     v = (0x6 << 36) | (0x6 << 28) | (0x1 << 20)
     with pytest.raises(LiftError, match="5 flips needed"):
-        lift(v, 0, 0, 1)
+        _lift_to(v, 0, 1)
+
+
+def test_a_top_row_swap_within_the_radius_meets_no_tie():
+    # A finite model of lift's swap.  A column lift touches has a nonzero
+    # error symbol or lies off the majority parity, so its distance is 1 or
+    # 2.  Wherever two touched columns share the largest distance, the swap
+    # costs 4 - 2d more and the flips exceed RADIUS, so which tied column
+    # lift would swap never shows in a result.
+    touched = {_LIFT_PICKS[nibble | symbol << 4 | parity << 6][1]
+               for nibble, symbol, parity in itertools.product(range(16), range(4), (0, 1))
+               if symbol or nibble.bit_count() & 1 != parity}
+    assert touched == {1, 2}
+    for k in range(2, N_COLS + 1):
+        for dists in itertools.combinations_with_replacement(sorted(touched), k):
+            if dists.count(max(dists)) > 1:
+                assert sum(dists) + 4 - 2 * max(dists) > RADIUS, dists
 
 
 def _reference_lift(v, target, column_parity, top_row_parity):
     """The column-by-column rewrite: visit all ten columns, take the nearer
-    candidate (the first on a tie), then swap the farthest, lowest-index
-    rewritten column if the top row is off."""
+    candidate (the first on a tie), then swap a farthest rewritten column
+    if the top row is off."""
     picks, dists, out = {}, {}, v
     for col in range(1, 11):
         cur = v >> 4 * (10 - col) & 0xF
@@ -112,7 +136,7 @@ def _reference_lift(v, target, column_parity, top_row_parity):
     if bin(out & int("1000" * 10, 2)).count("1") % 2 != top_row_parity:
         if not picks:
             return None
-        col = max(picks, key=lambda c: (dists[c], -c))
+        col = max(picks, key=dists.__getitem__)
         out ^= 0xF << (4 * (10 - col))
         total += 4 - 2 * dists[col]
     if total > 3:
@@ -128,19 +152,18 @@ def test_lift_matches_column_loop():
     rng = random.Random(29)
     for _ in range(20_000):
         v = rng.getrandbits(40)
+        while classify_case(v) is None:  # lift rewrites to the case's parity
+            v = rng.getrandbits(40)
         # Targets near proj_bits(v) reach the accepting branch, random ones the
         # rejecting one.
         target = proj_bits(v) ^ rng.choice([0, rng.getrandbits(20), 1 << 2 * rng.randrange(10)])
-        args = (v, target, rng.randrange(2), rng.randrange(2))
-        want = _reference_lift(*args)
-        # A decoder hands lift the front it has read; both forms must agree.
-        for front in ({}, {"front": proj_bits(v) | parity_profile(v) << 20}):
-            if want is None:
-                with pytest.raises(LiftError):
-                    lift(*args, **front)
-            else:
-                assert lift(*args, **front) == want
-        if want is not None:
+        top_row_parity = rng.randrange(2)
+        want = _reference_lift(v, target, classify_case(v).majority_parity, top_row_parity)
+        if want is None:
+            with pytest.raises(LiftError):
+                _lift_to(v, target, top_row_parity)
+        else:
+            assert _lift_to(v, target, top_row_parity) == want
             assert proj_bits(want) == target
 
 
@@ -233,7 +256,7 @@ def test_lift_identity_on_codewords(de_matrix):
     for row in de_matrix.rows[:5]:
         parities = parity_profile(row)
         assert parities in (0, (1 << 10) - 1)
-        assert lift(row, proj_bits(row), parities & 1, _top_row_parity(row)) == row
+        assert _lift_to(row, proj_bits(row), _top_row_parity(row)) == row
 
 
 def test_lift_reverses_small_corruptions(de_matrix, de_oracle):
@@ -245,7 +268,7 @@ def test_lift_reverses_small_corruptions(de_matrix, de_oracle):
         for pos in rng.sample(range(40), weight):
             v ^= 1 << pos
         majority = classify_case(v).majority_parity
-        assert lift(v, proj_bits(cw), majority, majority) == cw
+        assert _lift_to(v, proj_bits(cw), majority) == cw
 
 
 def test_lift_budget_exceeded():
@@ -258,7 +281,7 @@ def test_lift_budget_exceeded():
     majority = parities & 1
     assert _top_row_parity(v) != majority
     with pytest.raises(LiftError):
-        lift(v, proj_bits(v), majority, majority)
+        _lift_to(v, proj_bits(v), majority)
 
 
 # Array-layer calls with a symbol or parity outside its range, and
@@ -280,11 +303,11 @@ def test_array_layer_rejects_arguments_out_of_range(name):
         fn(a, b)
 
 
-@pytest.mark.parametrize("column_parity,top_row_parity",
-                         [(2, 0), (0, 2), (-1, 0), (1.0, 0), (0, 1.0)])
-def test_lift_rejects_parities_other_than_0_or_1(column_parity, top_row_parity):
-    with pytest.raises(ValueError, match="parities"):
-        lift(0, 0, column_parity, top_row_parity)
+# The column parity is the case's; only the top-row parity is an argument.
+@pytest.mark.parametrize("error,top_row_parity", [(0, 2), (0, 1.0), (0, -1)])
+def test_lift_rejects_parities_other_than_0_or_1(error, top_row_parity):
+    with pytest.raises(ValueError, match="top-row parity must be 0 or 1"):
+        lift(0, error, classify_case(0), top_row_parity)
 
 
 def test_array_text_roundtrip():

@@ -32,6 +32,13 @@ def _coset_leaders():
     return [len(build_oracle(c40_de()).leader_index)]
 
 
+def _shared_failures():
+    """The decoders that share their declared failures, and the cases, None
+    included, that each shares one for."""
+    algorithms = {decode(0).algorithm for decode in (dc.represent_decode, dc.syndrome_decode)}
+    return [len(algorithms), len(set(dc._CASES))]
+
+
 # A pattern that finds a count in README.md, each number a group, and the
 # code that owns it.  The pattern must match somewhere, and every match
 # must read the owner's numbers.
@@ -50,21 +57,34 @@ COUNTS = {
     r"an orbit of ([\d,]+) words under the\s+four generators": lambda: [len(orbit(0x91B75))],
 }
 
+# The same for the sd40.decoders docstring.
+DECODERS_DOC_COUNTS = {
+    r"Each of the ([\d,]+) erasure\s+sets": lambda: _budgets()[:1],
+    r"inside\s+its\s+budget\s+\(([\d,]+) in all\)": lambda: _budgets()[1:],
+    r"\((\d+), (\d+), (\d+), (\d+) in\s+cases I-IV\)": _probes_per_case,
+    r"\(algorithm,\s+case\),\s+(\d+) x (\d+)": _shared_failures,
+}
 
-def _count_mismatches(text):
-    """Patterns of COUNTS that README text lacks, or that it states with
-    numbers other than the owner's."""
+
+def _count_mismatches(text, counts):
+    """Patterns of counts that text lacks, or that it states with numbers
+    other than the owner's."""
     found = []
-    for pattern, owner in COUNTS.items():
+    for pattern, owner in counts.items():
         stated = [[int(g.replace(",", "")) for g in m.groups()] for m in re.finditer(pattern, text)]
         want = owner()
         if not stated or any(numbers != want for numbers in stated):
-            found.append(f"{pattern}: README {stated or 'has no match'}, code {want}")
+            found.append(f"{pattern}: text {stated or 'has no match'}, code {want}")
     return found
 
 
 def test_readme_counts_match_the_code():
-    found = _count_mismatches(README.read_text())
+    found = _count_mismatches(README.read_text(), COUNTS)
+    assert not found, found
+
+
+def test_decoders_docstring_counts_match_the_code():
+    found = _count_mismatches(dc.__doc__, DECODERS_DOC_COUNTS)
     assert not found, found
 
 
@@ -72,8 +92,11 @@ def test_readme_count_check_sees_an_edited_number():
     text = README.read_text()
     assert "10,701-entry" in text and "(176 sets" in text
     edited = text.replace("10,701-entry", "10,702-entry").replace("(176 sets", "(175 sets")
-    found = _count_mismatches(edited)
+    found = _count_mismatches(edited, COUNTS)
     assert [entry.split(":")[0] for entry in found] == [
         r"\(([\d,]+) sets, ([\d,]+) words\)", r"the ([\d,]+)-entry\s+coset-leader index"]
-    assert _count_mismatches(text.replace("all 10,701 error", "all error")) == [
-        r"all ([\d,]+) error patterns of weight <= 3: README has no match, code [10701]"]
+    assert _count_mismatches(text.replace("all 10,701 error", "all error"), COUNTS) == [
+        r"all ([\d,]+) error patterns of weight <= 3: text has no match, code [10701]"]
+    assert "2 x 353" in dc.__doc__
+    assert _count_mismatches(dc.__doc__.replace("2 x 353", "2 x 352"), DECODERS_DOC_COUNTS) == [
+        r"\(algorithm,\s+case\),\s+(\d+) x (\d+): text [[2, 352]], code [2, 353]"]
