@@ -19,19 +19,15 @@ from .decoders import (
     DecodeOutcome,
     InternalInvariantError,
     classify_case,
-    find_closest_in_e10,
     represent_decode,
-    solve_syndrome,
     syndrome,
     syndrome_decode,
 )
 from .gf4 import Gf4Word, hermitian_inner, trace_inner
 from .oracle import OracleTable, build_oracle, indexed_decode, oracle_decode
 from .projection import (
-    LiftError,
     has_projection_e,
     has_projection_o,
-    lift,
     parity_profile,
 )
 from .quaternary import (

@@ -51,13 +51,14 @@ column parity (DE, projection O) or is even (SE, projection E), so v + c
 meets the top-row rule exactly when v does.  A success is the unique
 codeword within three flips, so it moves by c and the flips stay put.
 
-Every stage takes and hands out projections, syndromes and error words
-as packed ints, checked by gf4.packed, so a decode builds no Gf4Word.
-The lift takes the error word either search gives and the case, its
-majority parity and erasure columns, and reads no projection or parity
-of v.  A DecodeOutcome stores four facts, the flips as the one 40-bit
-mask received ^ codeword, and derives ok, reason, the flipped bits and
-the corrected projection, which the lift writes into the codeword.  A
+A decode checks its input once: _decode the code, classify_case the
+word.  The two searches and the lift, like proj_bits, check nothing:
+they take the packed ints and the case that _decode built.  The lift
+takes the error word either search gives and the case, its majority
+parity and erasure columns, and reads no projection or parity of v.  A
+DecodeOutcome stores four facts, the flips as the one 40-bit mask
+received ^ codeword, and derives ok, reason, the flipped bits and the
+corrected projection, which the lift writes into the codeword.  A
 declared failure is one shared outcome per (algorithm, case), 2 x 353.
 """
 
@@ -149,19 +150,13 @@ class DecodeOutcome:
 # ---------------------------------------------------------------------------
 
 
-# Typed, here and in _syndrome_table, so that an erasure 1.0 cannot hit column 1.
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _budget_patterns(*erasures: int) -> tuple[int, ...]:
     """Every projection error word inside the budget of an erasure set:
     any value (zero included) on each erasure column plus, with fewer
     than two erasures, at most one nonzero symbol on the other columns.
     An erased position may keep its value because a flipped top-row bit
     changes a column's parity but not its projection."""
-    if len(erasures) > 3:
-        raise ValueError(f"{len(erasures)} erasures break the unique-decoding bound")
-    if len(set(erasures)) != len(erasures) or not all(
-            type(c) is int and 1 <= c <= N_COLS for c in erasures):
-        raise ValueError(f"erasures must be distinct int columns 1..{N_COLS}: {erasures}")
     fills = xor_span([val << (2 * (c - 1)) for c in erasures for val in (1, 2)])
     patterns = list(fills)
     if len(erasures) < 2:  # 2*errors + erasures < 4 leaves room for one error
@@ -187,21 +182,20 @@ def _e10_index(keep: int) -> dict[int, int]:
     return {w & keep: w for w in _e10_words()}
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _probes(*erasures: int) -> tuple[int, dict[int, int], tuple[int, ...]]:
     """The mask clearing the first erasure column, its index, and the budget zero there."""
-    patterns = _budget_patterns(*erasures)  # checks the erasures first
     keep = ~(3 << 2 * (erasures[0] - 1)) if erasures else -1
-    return keep, _e10_index(keep), tuple(e for e in patterns if e & keep == e)
+    return keep, _e10_index(keep), tuple(e for e in _budget_patterns(*erasures) if e & keep == e)
 
 
-def find_closest_in_e10(y: int, erasures: tuple[int, ...] = ()) -> int | None:
+def find_closest_in_e10(y: int, erasures: tuple[int, ...]) -> int | None:
     """The unique codeword within the budget of the erasure set from y, or
-    None.  ValueError: y is no 10-symbol projection, an erasure is no int
-    column 1..10, or there are more than three erasures.
+    None.  A decode stage: y is the packed projection of the received word
+    and erasures the erasure columns of its case, and neither is checked.
     InternalInvariantError: E10 has a nonzero word of weight below 4."""
     keep, index, probes = _probes(*erasures)
-    y = packed(y, N_COLS) & keep
+    y &= keep
     for e in probes:
         if y ^ e in index:  # the only hit (see the module doc)
             return index[y ^ e]
@@ -238,17 +232,17 @@ def syndrome(y: int) -> int:
     return _syndrome_bits(packed(y, N_COLS))
 
 
-@functools.lru_cache(maxsize=None, typed=True)
+@functools.lru_cache(maxsize=None)
 def _syndrome_table(*erasures: int) -> dict[int, int]:
     """Packed syndrome -> the packed error word inside the budget that has it."""
     return leader_table(_budget_patterns(*erasures), _syndrome_bits)
 
 
-def solve_syndrome(s: int, erasures: tuple[int, ...] = ()) -> int | None:
+def solve_syndrome(s: int, erasures: tuple[int, ...]) -> int | None:
     """The unique packed error word e with s = H conj(e)^T inside the
-    budget of the erasure set, or None.  An erased column may carry no
-    projection error."""
-    return _syndrome_table(*erasures).get(packed(s, 5))
+    budget of the erasure set, or None; an erased column may carry no
+    projection error.  An unchecked decode stage, like find_closest_in_e10."""
+    return _syndrome_table(*erasures).get(s)
 
 
 # ---------------------------------------------------------------------------

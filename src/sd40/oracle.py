@@ -74,7 +74,7 @@ def oracle_decode(v: int, table: OracleTable) -> int | None:
     Scans in chunks and exits at the first codeword within the radius,
     which is the unique nearest one because the distance is 8.
     """
-    if v >> N_BITS:  # -1 for every negative v
+    if type(v) is not int or v >> N_BITS:  # v >> N_BITS is -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     import numpy as np
 
@@ -92,7 +92,7 @@ def oracle_decode(v: int, table: OracleTable) -> int | None:
 
 def indexed_decode(v: int, table: OracleTable) -> int | None:
     """Scan-equivalent fast path via the weight-<=3 coset-leader index."""
-    if v >> N_BITS:  # -1 for every negative v
+    if type(v) is not int or v >> N_BITS:  # v >> N_BITS is -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     e = table.leader_index.get(table._syndrome(v))
     return None if e is None else v ^ e

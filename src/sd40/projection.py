@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .gf4 import InternalInvariantError, byte_tables, nonzero_mask, packed
+from .gf4 import InternalInvariantError, byte_tables, nonzero_mask
 
 if TYPE_CHECKING:  # decoders imports this module
     from .decoders import CaseLabel
@@ -59,7 +59,7 @@ def proj_bits(v: int) -> int:
 
 def parity_profile(v: int) -> int:
     """Column parities of a 40-bit word; bit c-1 is 1 when column c is odd."""
-    if v >> N_BITS:  # -1 for every negative v
+    if type(v) is not int or v >> N_BITS:  # v >> N_BITS is -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     p0, p1, p2, p3, p4 = _PARITY_BYTES
     return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
@@ -122,16 +122,11 @@ def lift(v: int, error: int, case: CaseLabel, top_row_parity: int) -> int:
     resulting top-row parity is off, the single cheapest candidate swap
     fixes it (complementing a column always toggles its top bit).
 
-    Returns the rewritten word; XOR with v gives the mask of flipped bits.
-    Raises LiftError when no rewrite exists within RADIUS flips, and
-    ValueError when v is not a 40-bit word, error is no packed 10-symbol
-    word or top_row_parity is not 0 or 1.
+    An unchecked decode stage: case is classify_case(v), error the packed
+    projection error word a search found inside case's budget, and
+    top_row_parity 0 or 1.  Returns the rewritten word, whose XOR with v is
+    the flip mask; LiftError when no rewrite exists within RADIUS flips.
     """
-    if v >> N_BITS:  # -1 for every negative v
-        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    error = packed(error, N_COLS)
-    if not (type(top_row_parity) is int and top_row_parity in (0, 1)):
-        raise ValueError(f"top-row parity must be 0 or 1, got {top_row_parity!r}")
     # Bit 2i is set when column i+1 must be rewritten.
     todo = ((error | (error >> 1)) & _LOW_BITS) | case.erasure_bits
     parity_key = case.majority_parity << 6
@@ -167,7 +162,7 @@ def lift(v: int, error: int, case: CaseLabel, top_row_parity: int) -> int:
 def format_array_text(v: int) -> str:
     """Four lines of ten characters, rows in label order 0, 1, w, W.
     ValueError: v is no 40-bit word."""
-    if v >> N_BITS:  # -1 for every negative v
+    if type(v) is not int or v >> N_BITS:  # v >> N_BITS is -1 for every negative v
         raise ValueError(f"word {v} is not a {N_BITS}-bit word")
     bits = format(v, f"0{N_BITS}b")  # column c is bits[4c-4:4c], row r every fourth from r
     return "".join(bits[row::4] + "\n" for row in range(4))

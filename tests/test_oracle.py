@@ -108,13 +108,13 @@ def test_indexed_equals_scan_on_random_words(de_oracle):
         assert indexed_decode(v, de_oracle) == oracle_decode(v, de_oracle)
 
 
-@pytest.mark.parametrize("v", [1 << 40, -1, (1 << 40) + 5, -(1 << 40)])
+@pytest.mark.parametrize("v", [1 << 40, -1, (1 << 40) + 5, -(1 << 40), True, 1.0])
 def test_received_word_domain(de_oracle, v):
     # Words outside [0, 2^40) are not received words: neither a
-    # "codeword" nor a numpy overflow comes back.
-    with pytest.raises(ValueError):
+    # "codeword" nor a numpy overflow comes back.  Nor is a bool or a float.
+    with pytest.raises(ValueError, match="40-bit"):
         oracle_decode(v, de_oracle)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="40-bit"):
         indexed_decode(v, de_oracle)
 
 

@@ -303,13 +303,6 @@ def test_array_layer_rejects_arguments_out_of_range(name):
         fn(a, b)
 
 
-# The column parity is the case's; only the top-row parity is an argument.
-@pytest.mark.parametrize("error,top_row_parity", [(0, 2), (0, 1.0), (0, -1)])
-def test_lift_rejects_parities_other_than_0_or_1(error, top_row_parity):
-    with pytest.raises(ValueError, match="top-row parity must be 0 or 1"):
-        lift(0, error, classify_case(0), top_row_parity)
-
-
 def test_array_text_roundtrip():
     rng = random.Random(3)
     for _ in range(200):

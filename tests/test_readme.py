@@ -1,10 +1,13 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from sd40 import decoders as dc
+from sd40 import oracle, quaternary
 from sd40.constructions import c40_de
 from sd40.oracle import build_oracle
-from sd40.quaternary import orbit, orbit_census, orbit_lookup
+from sd40.quaternary import b10_table, e10_table, orbit, orbit_census, orbit_lookup
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -66,6 +69,28 @@ DECODERS_DOC_COUNTS = {
 }
 
 
+def _nonzero_e10_words():
+    return [len(orbit_lookup())]
+
+
+# The same for the other docstrings that state a count: the docstring and
+# its counts.
+DOC_COUNTS = {
+    "sd40.oracle": (oracle.__doc__, {
+        r"the ([\d,]+) coset leaders of weight at most 3": _coset_leaders,
+    }),
+    "sd40.quaternary": (quaternary.__doc__, {
+        r"([\d,]+)-codeword tables": lambda: sorted(
+            {len(e10_table().word_set), len(b10_table().word_set)}),
+        r"first code's\s+([\d,]+) nonzero codewords": _nonzero_e10_words,
+    }),
+    "orbit_lookup": (orbit_lookup.__doc__, {
+        r"tile the ([\d,]+) nonzero E10 codewords": _nonzero_e10_words,
+        r"sum of the counts other than ([\d,]+)": _nonzero_e10_words,
+    }),
+}
+
+
 def _count_mismatches(text, counts):
     """Patterns of counts that text lacks, or that it states with numbers
     other than the owner's."""
@@ -88,6 +113,13 @@ def test_decoders_docstring_counts_match_the_code():
     assert not found, found
 
 
+@pytest.mark.parametrize("name", DOC_COUNTS)
+def test_docstring_counts_match_the_code(name):
+    doc, counts = DOC_COUNTS[name]
+    found = _count_mismatches(doc, counts)
+    assert not found, found
+
+
 def test_readme_count_check_sees_an_edited_number():
     text = README.read_text()
     assert "10,701-entry" in text and "(176 sets" in text
@@ -100,3 +132,7 @@ def test_readme_count_check_sees_an_edited_number():
     assert "2 x 353" in dc.__doc__
     assert _count_mismatches(dc.__doc__.replace("2 x 353", "2 x 352"), DECODERS_DOC_COUNTS) == [
         r"\(algorithm,\s+case\),\s+(\d+) x (\d+): text [[2, 352]], code [2, 353]"]
+    doc, counts = DOC_COUNTS["orbit_lookup"]
+    assert "other than 1023" in doc
+    assert _count_mismatches(doc.replace("other than 1023", "other than 1024"), counts) == [
+        r"sum of the counts other than ([\d,]+): text [[1024]], code [1023]"]
