@@ -12,8 +12,6 @@ layer passes words packed; `Gf4Word` only prints and parses them.
 
 Every linear structure in the package (codeword tables of GF(2)-spans and
 lookup tables of GF(2)-linear maps) is built by `xor_span`, as a list.
-Only the oracle's linear scan needs a 2^20 array; `xor_span_array`
-composes it from two list spans and imports numpy when it is called.
 """
 
 from __future__ import annotations
@@ -53,19 +51,6 @@ def xor_span(rows: Sequence[int]) -> list[int]:
     for row in rows:
         words += [w ^ row for w in words]
     return words
-
-
-def xor_span_array(rows: Sequence[int]):
-    """`xor_span` as a uint64 numpy array, for the 2^20 span that only
-    the oracle's linear scan reads: the outer XOR of the list spans of the
-    high and low halves of the rows, so entry i is still the XOR of the
-    rows at the set bits of i."""
-    import numpy as np
-
-    half = len(rows) // 2
-    lo = np.array(xor_span(rows[:half]), dtype=np.uint64)
-    hi = np.array(xor_span(rows[half:]), dtype=np.uint64)
-    return np.bitwise_xor.outer(hi, lo).ravel()
 
 
 def byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:

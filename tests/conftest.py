@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import pytest
 from hypothesis import settings
 
@@ -39,3 +42,11 @@ def de_oracle(de_matrix):
 @pytest.fixture(scope="session")
 def se_oracle(se_matrix):
     return build_oracle(se_matrix)
+
+
+@pytest.fixture(scope="session")
+def span_entry():
+    """span_entry(rows, i) is entry i of the rows' span in the order certify
+    reads it: the XOR of the rows at the set bits of i."""
+    return lambda rows, i: functools.reduce(
+        operator.xor, (row for j, row in enumerate(rows) if i >> j & 1), 0)

@@ -198,12 +198,14 @@ def test_verbose_syndrome_failure(capsys):
 
 def test_oracle_commands_leave_the_codeword_array_unbuilt(capsys):
     # decode --algorithm oracle and fuzz answer from the coset-leader
-    # index; only the linear scan reads the 2^20-codeword array.
+    # index; only oracle_decode reads the pivot tables and the 1,351 near
+    # codewords.
     v = word_str(parse_array_text(RECEIVED[2]))
     assert run(capsys, "decode", v, "--algorithm", "oracle")[0] == cli.EXIT_OK
     assert run(capsys, "fuzz", "--trials", "200")[0] == cli.EXIT_OK
     table = vars(cli._oracle_for("DE"))
-    assert "leader_index" in table and "words" not in table
+    assert "leader_index" in table
+    assert "_pivot_bytes" not in table and "_near_codewords" not in table
 
 
 def test_decode_codeword_short_output(capsys):

@@ -2,7 +2,6 @@ import functools
 import itertools
 import operator
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -23,7 +22,6 @@ from sd40.gf4 import (
     word_times_w,
     word_weight,
     xor_span,
-    xor_span_array,
 )
 
 ELEMENTS = (ZERO, ONE, OMEGA, OMEGA_BAR)
@@ -212,9 +210,6 @@ def test_xor_span_entry_is_xor_of_selected_rows(rows):
     for i, word in enumerate(span):
         picked = (r for j, r in enumerate(rows) if i >> j & 1)
         assert type(word) is int and word == functools.reduce(operator.xor, picked, 0)
-    # The array form composes two half spans; it must keep every entry.
-    array = xor_span_array(rows)
-    assert array.dtype == np.uint64 and array.tolist() == span
 
 
 @given(ROWS)

@@ -204,7 +204,7 @@ def test_column_patterns_are_proj_fibers():
         assert a ^ b == 0xF  # complements
 
 
-def test_projection_o_membership(e10, de_matrix, de_oracle):
+def test_projection_o_membership(e10, de_matrix, de_oracle, span_entry):
     words = e10.word_set
     for row in de_matrix.rows + printed_de_matrix().rows:
         assert has_projection_o(row, words)
@@ -213,7 +213,7 @@ def test_projection_o_membership(e10, de_matrix, de_oracle):
     rng = random.Random(17)
     # Random codewords satisfy it; random non-codewords fail it.
     for _ in range(2_000):
-        w = int(de_oracle.words[rng.randrange(de_oracle.words.size)])
+        w = span_entry(de_oracle.rows, rng.randrange(1 << 20))
         assert has_projection_o(w, words)
         v = rng.getrandbits(40)
         assert has_projection_o(v, words) == de_matrix.contains(v)
@@ -259,10 +259,10 @@ def test_lift_identity_on_codewords(de_matrix):
         assert _lift_to(row, proj_bits(row), _top_row_parity(row)) == row
 
 
-def test_lift_reverses_small_corruptions(de_matrix, de_oracle):
+def test_lift_reverses_small_corruptions(de_matrix, de_oracle, span_entry):
     rng = random.Random(23)
     for _ in range(500):
-        cw = int(de_oracle.words[rng.randrange(de_oracle.words.size)])
+        cw = span_entry(de_oracle.rows, rng.randrange(1 << 20))
         weight = rng.randint(1, 3)
         v = cw
         for pos in rng.sample(range(40), weight):

@@ -35,6 +35,10 @@ def _coset_leaders():
     return [len(build_oracle(c40_de()).leader_index)]
 
 
+def _near_codewords():
+    return [len(build_oracle(c40_de())._near_codewords)]
+
+
 def _shared_failures():
     """The decoders that share their declared failures, and the cases, None
     included, that each shares one for."""
@@ -49,6 +53,7 @@ COUNTS = {
     r"\(([\d,]+) sets, ([\d,]+) words\)": _budgets,
     r"all ([\d,]+) error patterns of weight <= 3": _coset_leaders,
     r"the ([\d,]+)-entry\s+coset-leader index": _coset_leaders,
+    r"one of the ([\d,]+) XORs of at most\s+three reduced rows": _near_codewords,
     r"(\d+), (\d+), (\d+) and (\d+) in cases I-IV": _probes_per_case,
     r"one of (\d+) indexes of E10": lambda: [len({dc._probes(*e)[0] for e in _erasure_sets()})],
     r"each index's ([\d,]+) keys": lambda: sorted({len(dc._probes(*e)[1]) for e in _erasure_sets()}),
@@ -78,6 +83,7 @@ def _nonzero_e10_words():
 DOC_COUNTS = {
     "sd40.oracle": (oracle.__doc__, {
         r"the ([\d,]+) coset leaders of weight at most 3": _coset_leaders,
+        r"one of the ([\d,]+) XORs of at most\s+three reduced rows": _near_codewords,
     }),
     "sd40.quaternary": (quaternary.__doc__, {
         r"([\d,]+)-codeword tables": lambda: sorted(
