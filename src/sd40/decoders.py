@@ -42,20 +42,18 @@ keeps every column parity or flips them all; the minority columns, and
 with them the case and its budget, stay put.  The projection is
 GF(2)-linear and c projects into E10, which is linear, so the search on
 y + proj(c) finds the corrected projection moved by proj(c), or nothing
-both times.  Within a column the nibble -> (symbol, parity) map is
-GF(2)-linear with kernel {0000, 1111}, so the two candidate nibbles and
-their distances move with c's column and the flip count is unchanged: a
-distance-2 tie picks one of two complements, but a tied column also
-makes the top-row fix free.  Finally c's top-row parity equals its
-column parity (DE, projection O) or is even (SE, projection E), so v + c
-meets the top-row rule exactly when v does.  A success is the unique
-codeword within three flips, so it moves by c and the flips stay put.
+both times: the error word stays put.  The lift's flips depend on the
+error word, the erasure set and v's top-row parity alone.  Finally c's
+top-row parity equals its column parity (DE, projection O) or is even
+(SE, projection E), so v + c meets the top-row rule exactly when v does.
+A success is the unique codeword within three flips, so it moves by c
+and the flips stay put.
 
 A decode checks its input once: _decode the code, classify_case the
 word.  The two searches and the lift, like proj_bits, check nothing:
 they take the packed ints and the case that _decode built.  The lift
-takes the error word either search gives and the case, its majority
-parity and erasure columns, and reads no projection or parity of v.  A
+takes the error word either search gives and the case's erasure
+columns, and reads no projection or parity of v.  A
 DecodeOutcome stores four facts, the flips as the one 40-bit mask
 received ^ codeword, and derives ok, reason, the flipped bits and the
 corrected projection, which the lift writes into the codeword.  A
@@ -76,14 +74,14 @@ from .quaternary import e10_matrix, e10_table
 FAILURE_REASON = "more than three errors occurred"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaseLabel:
-    """Parity case of a received array; its erasure columns fix the budget."""
+    """Parity case of a received array, equal only to itself; its erasure columns fix the budget."""
 
     case_id: str  # "I".."IV"
     majority_parity: int
     erasure_columns: tuple[int, ...]  # 1-based minority columns
-    erasure_bits: int = field(compare=False, repr=False)  # column c at bit 2c-2, for lift
+    erasure_nibbles: int = field(repr=False)  # 0xF at each erasure column of v, for lift
 
     @property
     def parity_split(self) -> str:
@@ -95,8 +93,8 @@ _CASE_IDS = ("I", "II", "III", "IV")
 
 
 def _case_table() -> tuple[CaseLabel | None, ...]:
-    """Column parity vector -> case.  The columns off the majority parity
-    are the erasures; a vector with four or more of them has no case."""
+    """Column parity vector -> case, one label object each.  The columns off
+    the majority parity are the erasures; four or more of them make no case."""
     table: list[CaseLabel | None] = [None] * (1 << N_COLS)
     for k, case_id in enumerate(_CASE_IDS):
         for minority in itertools.combinations(range(1, N_COLS + 1), k):
@@ -105,7 +103,7 @@ def _case_table() -> tuple[CaseLabel | None, ...]:
             # and the even ones under an odd majority.
             for majority, parities in ((0, mask), (1, mask ^ ((1 << N_COLS) - 1))):
                 table[parities] = CaseLabel(case_id, majority, minority,
-                                            sum(1 << (2 * c - 2) for c in minority))
+                                            sum(0xF << 4 * (N_COLS - c) for c in minority))
     return tuple(table)
 
 
@@ -126,6 +124,12 @@ class DecodeOutcome:
     codeword: int | None
     flips: int  # received ^ codeword, 0 for a declared failure
     case: CaseLabel | None
+
+    def __init__(self, algorithm: str, codeword: int | None, flips: int,
+                 case: CaseLabel | None) -> None:
+        # One write, not the generated __init__'s four object.__setattr__ calls.
+        object.__setattr__(self, "__dict__", {"algorithm": algorithm, "codeword": codeword,
+                                              "flips": flips, "case": case})
 
     @property
     def ok(self) -> bool:

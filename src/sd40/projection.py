@@ -7,14 +7,18 @@ labels at its one-bits, so each column contributes one GF(4) symbol.
 For a fixed symbol there are exactly four columns producing it (two of
 even parity, two of odd, the members of each parity pair being bitwise
 complements), which is what lets a corrected projection be written back
-into the array with a forced number of bit flips.
+into the array with a forced number of bit flips.  Those flips do not
+depend on the column's nibble: error symbol s costs an erasure (a minority
+column) one flip, in the row labelled s, and a majority column with s != 0
+two, in the top row and row s, or the complement of those two.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import TYPE_CHECKING
 
-from .gf4 import InternalInvariantError, byte_tables, nonzero_mask
+from .gf4 import InternalInvariantError, byte_tables
 
 if TYPE_CHECKING:  # decoders imports this module
     from .decoders import CaseLabel
@@ -42,7 +46,6 @@ COLUMN_PATTERNS = (
 # column's symbol and the parity toggles the column's bit.
 _PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
 _PROJ_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
-_LOW_BITS = nonzero_mask(N_COLS)  # the low bit of every symbol
 
 
 class LiftError(Exception):
@@ -96,19 +99,27 @@ def has_projection_e(v: int, code_words: frozenset[int]) -> bool:
     return _has_projection(v, code_words, False)
 
 
-def _cheaper_candidate(nibble: int, symbol: int, parity: int) -> tuple[int, int]:
-    """The candidate column for (proj(nibble) + symbol, parity) nearer to
-    nibble, the first one on a tie at distance 2, and its distance; the low
-    nibble is column 10, whose symbol proj_bits puts at bit 18."""
-    a, b = candidates_for(proj_bits(nibble) >> 18 ^ symbol, parity)
-    da = (nibble ^ a).bit_count()
-    return (a, da) if da <= 4 - da else (b, 4 - da)
+# A majority column's flips for error symbol s; an erasure toggles the top bit too.
+_MAJORITY_FLIPS = tuple(8 ^ 8 >> s for s in range(4))
 
 
-# (nibble | error symbol << 4 | parity << 6) -> (pick, distance).
-_LIFT_PICKS = tuple(
-    _cheaper_candidate(key & 0xF, (key >> 4) & 3, key >> 6) for key in range(128)
-)
+def _flip_bytes() -> tuple[tuple[int, ...], ...]:
+    """Byte tables of the majority flips of a packed error word, each the
+    product of its columns' four flips (the map is not GF(2)-linear).
+    InternalInvariantError: some column's flips miss its nearer candidate."""
+    for nibble, s, parity in itertools.product(range(16), range(4), (0, 1)):
+        flips = _MAJORITY_FLIPS[s] ^ 8 * (nibble.bit_count() & 1 != parity)
+        pair = candidates_for(proj_bits(nibble) >> 18 ^ s, parity)  # column 10's symbol
+        if nibble ^ flips not in pair or flips.bit_count() > 2:  # the pair is d and 4 - d away
+            raise InternalInvariantError(f"column {nibble:04b}, symbol {s}: flips {flips:04b}")
+    tables = [[0], [0], [0]]
+    for col in range(N_COLS, 0, -1):  # a new column is the low symbol of its byte
+        k = (col - 1) // 4
+        tables[k] = [t ^ f << 4 * (N_COLS - col) for t in tables[k] for f in _MAJORITY_FLIPS]
+    return tuple(map(tuple, tables))
+
+
+_FLIP_BYTES = _flip_bytes()
 
 
 def lift(v: int, error: int, case: CaseLabel, top_row_parity: int) -> int:
@@ -116,47 +127,29 @@ def lift(v: int, error: int, case: CaseLabel, top_row_parity: int) -> int:
     every column takes the majority parity of case, the parity case of v,
     and the top row the given parity, flipping as few bits as possible.
 
-    Only the columns where error is nonzero and the case's erasure columns
-    are touched.  Each such column admits exactly two candidate nibbles
-    (complements of each other); the cheaper one is taken, and if the
-    resulting top-row parity is off, the single cheapest candidate swap
-    fixes it (complementing a column always toggles its top bit).
+    An erasure takes one flip, in the row labelled by its error symbol s;
+    any other column with s != 0 takes two, the top row and row s.  If the
+    top row is then off, the first two-flip column is complemented, at no
+    cost, or else the first erasure, at two more flips; wherever two
+    columns could be, the flips already exceed RADIUS.
 
     An unchecked decode stage: case is classify_case(v), error the packed
     projection error word a search found inside case's budget, and
     top_row_parity 0 or 1.  Returns the rewritten word, whose XOR with v is
     the flip mask; LiftError when no rewrite exists within RADIUS flips.
     """
-    # Bit 2i is set when column i+1 must be rewritten.
-    todo = ((error | (error >> 1)) & _LOW_BITS) | case.erasure_bits
-    parity_key = case.majority_parity << 6
-    total = 0
-    best_dist = best_shift = -1
-    out = v
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        pos = low.bit_length() >> 1  # 0-based column index
-        shift = 4 * (N_COLS - 1 - pos)
-        cur = (v >> shift) & 0xF
-        pick, dist = _LIFT_PICKS[cur | ((error >> (2 * pos)) & 3) << 4 | parity_key]
-        out ^= (cur ^ pick) << shift
-        total += dist
-        # Swapping a column to its complement costs 4 - 2d extra flips, so the
-        # farthest column is the cheapest swap; a swap within RADIUS never
-        # meets a tie: two farthest columns plus the swap cost at least 4 flips.
-        if dist > best_dist:
-            best_dist, best_shift = dist, shift
-    if (out & TOP_ROW_MASK).bit_count() & 1 != top_row_parity:
-        if best_dist < 0:
+    erasures = case.erasure_nibbles
+    f0, f1, f2 = _FLIP_BYTES
+    flips = f0[error & 0xFF] ^ f1[(error >> 8) & 0xFF] ^ f2[error >> 16] ^ erasures & TOP_ROW_MASK
+    if ((v ^ flips) & TOP_ROW_MASK).bit_count() & 1 != top_row_parity:
+        swap = flips & ~erasures or erasures  # the two-flip columns, else the erasures
+        if not swap:
             raise LiftError("top-row parity off with no column to rewrite")
-        out ^= 0xF << best_shift
-        total += 4 - 2 * best_dist
-    if total > RADIUS:
-        raise LiftError(f"{total} flips needed, budget is {RADIUS}")
-    if (v ^ out).bit_count() != total:
-        raise InternalInvariantError(f"{(v ^ out).bit_count()} bits flipped, {total} counted")
-    return out
+        flips ^= 0xF << ((swap.bit_length() - 1) & ~3)  # the first such column: v's highest
+    count = flips.bit_count()
+    if count > RADIUS:
+        raise LiftError(f"{count} flips needed, budget is {RADIUS}")
+    return v ^ flips
 
 
 def format_array_text(v: int) -> str:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -16,8 +17,8 @@ from sd40 import cli, gf4, projection, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.gf4 import CONJ, MUL, Gf4Word, xor_span
 from sd40.oracle import indexed_decode
-from sd40.projection import (_LIFT_PICKS, format_array_text, has_projection_e, has_projection_o,
-                             parity_profile, parse_array_text, proj_bits)
+from sd40.projection import (N_COLS, LiftError, format_array_text, has_projection_e,
+                             has_projection_o, lift, parity_profile, parse_array_text, proj_bits)
 from sd40.quaternary import classify_type, e10_matrix
 
 # The four worked examples: received array, corrected projection,
@@ -371,26 +372,41 @@ def test_case_table_is_invariant_under_complementing_the_parities():
         assert flipped.majority_parity == 1 - case.majority_parity
 
 
-def test_lift_picks_move_with_a_translating_column():
-    # Exhaustive check of the sd40.decoders docstring sentence: "Within a
-    # column the nibble -> (symbol, parity) map is GF(2)-linear with kernel
-    # {0000, 1111}, so the two candidate nibbles and their distances move
-    # with c's column and the flip count is unchanged: a distance-2 tie
-    # picks one of two complements".  Column t of a codeword translates a
-    # column nibble and the parity it must have; the projection error
-    # symbol, the corrected symbol minus the received one, stays put.
-    moved = complemented = 0
-    for nibble, t, symbol, parity in itertools.product(range(16), range(16), range(4), (0, 1)):
-        pick, dist = _LIFT_PICKS[nibble | symbol << 4 | parity << 6]
-        key = (nibble ^ t) | symbol << 4 | (parity ^ t.bit_count() & 1) << 6
-        moved_pick, moved_dist = _LIFT_PICKS[key]
-        assert moved_dist == dist, (nibble, t, symbol, parity)
-        if moved_pick == pick ^ t:
-            moved += 1
-        else:
-            assert (moved_pick, dist) == (pick ^ t ^ 0xF, 2), (nibble, t, symbol, parity)
-            complemented += 1
-    assert (moved, complemented) == (1_664, 384)
+def _lift_flips(v, error, case, top_row_parity):
+    """The flip mask lift writes into v, or its LiftError text."""
+    try:
+        return lift(v, error, case, top_row_parity) ^ v
+    except LiftError as exc:
+        return str(exc)
+
+
+def test_lift_flips_move_with_a_translating_column():
+    # Exhaustive check of the sd40.decoders docstring sentence: "The lift's
+    # flips depend on the error word, the erasure set and v's top-row
+    # parity alone."  Column 1 of v holds any nibble and the others 0000 or
+    # 0001.  A translating word holds any t in column 1 and a column of t's
+    # parity in the others, so the erasure set stays put, and the top-row
+    # parity it wants moves by t's top bit, as v's does.
+    others = int("0001" * (N_COLS - 1), 2)
+    for nibble, t, symbol, parity, top in itertools.product(
+            range(16), range(16), range(4), (0, 1), (0, 1)):
+        v = nibble << 36 | parity * others
+        u = v ^ (t << 36 | (t.bit_count() & 1) * others)
+        case, moved = dc.classify_case(v), dc.classify_case(u)
+        assert moved.erasure_columns == case.erasure_columns
+        assert _lift_flips(u, symbol, moved, top ^ t >> 3) == _lift_flips(v, symbol, case, top), (
+            nibble, t, symbol, parity, top)
+
+
+def test_each_case_label_equals_only_itself():
+    # The case table builds each label once, so a label's identity is its
+    # value, and _failure's cache hashes a label by its identity.
+    labels = [c for c in dc._CASES if c is not None]
+    assert len({id(c) for c in labels}) == 352
+    for label in labels:
+        assert [other for other in labels if other == label] == [label]
+        assert dataclasses.replace(label) != label
+        assert hash(label) == object.__hash__(label)
 
 
 def _coset_words(table):

@@ -10,7 +10,7 @@ from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.decoders import classify_case
 from sd40.gf4 import Gf4Word
 from sd40.projection import (
-    _LIFT_PICKS,
+    _MAJORITY_FLIPS,
     _PARITY_BYTES,
     _PROJ_BYTES,
     COLUMN_PATTERNS,
@@ -88,11 +88,11 @@ def _lift_to(v, target, top_row_parity):
 
 def test_lift_tie_rules():
     # Column 1 = 0110 must become symbol 0 with even parity: candidates
-    # 0000 and 1111 are both at distance 2, and the first one is taken.
+    # 0000 and 1111 are both at distance 2.  The top row wanted even
+    # picks 0000.
     v = 0x6 << 36
     assert _lift_to(v, 0, 0) == 0
-    # Same column, top row wanted odd: the only rewritten column is
-    # swapped to its complement, costing 4 - 2*2 = 0 extra flips.
+    # Same column, top row wanted odd: 1111, which costs no extra flip.
     assert _lift_to(v, 0, 1) == 0xF << 36
     # Two columns at distance 2 and one at distance 1, with the swap: 5
     # flips, over the radius.  Within 3 flips a swap never has two farthest
@@ -103,19 +103,48 @@ def test_lift_tie_rules():
 
 
 def test_a_top_row_swap_within_the_radius_meets_no_tie():
-    # A finite model of lift's swap.  A column lift touches has a nonzero
-    # error symbol or lies off the majority parity, so its distance is 1 or
-    # 2.  Wherever two touched columns share the largest distance, the swap
-    # costs 4 - 2d more and the flips exceed RADIUS, so which tied column
-    # lift would swap never shows in a result.
-    touched = {_LIFT_PICKS[nibble | symbol << 4 | parity << 6][1]
-               for nibble, symbol, parity in itertools.product(range(16), range(4), (0, 1))
-               if symbol or nibble.bit_count() & 1 != parity}
+    # A finite model of lift's swap.  A touched column takes one flip (an
+    # erasure) or two (a majority column with a nonzero error symbol), and
+    # complementing it costs 4 - 2d more, so lift complements a two-flip
+    # column if there is one and an erasure otherwise.  Wherever two touched
+    # columns share the largest cost, the swap takes the flips past RADIUS,
+    # so which of them lift complements never shows in a result.
+    touched = {(flips ^ 8 * erasure).bit_count()
+               for flips, erasure in itertools.product(_MAJORITY_FLIPS, (0, 1)) if flips or erasure}
     assert touched == {1, 2}
     for k in range(2, N_COLS + 1):
         for dists in itertools.combinations_with_replacement(sorted(touched), k):
             if dists.count(max(dists)) > 1:
                 assert sum(dists) + 4 - 2 * max(dists) > RADIUS, dists
+
+
+@pytest.mark.parametrize("col", range(1, N_COLS + 1))
+def test_lift_flips_of_one_column(col):
+    # Every nibble, error symbol s, majority parity and wanted top-row
+    # parity, in column col of a word whose other columns are 0000 or 0001.
+    # An erasure takes one flip, in the row labelled s (nibble bit 8 >> s,
+    # the top row for s = 0).  A majority column with s != 0 takes the top
+    # row and row s, or the complement of those two; with s = 0 it takes
+    # nothing.  When the top row needs the other choice, an erasure is
+    # complemented to three flips, and an untouched column cannot help.
+    shift = 4 * (N_COLS - col)
+    others = int("0001" * N_COLS, 2) & ~(0xF << shift)
+    for nibble, s, parity, top in itertools.product(range(16), range(4), (0, 1), (0, 1)):
+        v = nibble << shift | parity * others
+        case, error = classify_case(v), s << 2 * (col - 1)
+        erasure = nibble.bit_count() & 1 != parity
+        assert case.erasure_columns == ((col,) if erasure else ())
+        out = nibble ^ (8 >> s if erasure else 8 | 8 >> s if s else 0)
+        if out >> 3 != top:
+            if not erasure and s == 0:
+                with pytest.raises(LiftError, match="no column to rewrite"):
+                    lift(v, error, case, top)
+                continue
+            out ^= 0xF
+        word = lift(v, error, case, top)
+        assert word == v ^ (nibble ^ out) << shift, (nibble, s, parity, top)
+        assert proj_bits(word) == proj_bits(v) ^ error
+        assert parity_profile(word) == parity * 0x3FF
 
 
 def _reference_lift(v, target, column_parity, top_row_parity):

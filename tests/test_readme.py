@@ -1,3 +1,4 @@
+import json
 import re
 from pathlib import Path
 
@@ -142,3 +143,56 @@ def test_readme_count_check_sees_an_edited_number():
     assert "other than 1023" in doc
     assert _count_mismatches(doc.replace("other than 1023", "other than 1024"), counts) == [
         r"sum of the counts other than ([\d,]+): text [[1024]], code [1023]"]
+
+
+# The decoders in the README's rate table and the metric each row states.
+RATE_METRICS = {
+    "syndrome_decode": "synd_words_per_s",
+    "represent_decode": "repr_words_per_s",
+    "indexed_decode": "indexed_words_per_s",
+}
+
+
+def _within_rounding(stated, value):
+    """Whether a figure such as 196k or 1.02M rounds value to its last digit."""
+    m = re.fullmatch(r"(\d+(?:\.(\d+))?)([kM])", stated)
+    if m is None:
+        return False
+    scale = {"k": 1e3, "M": 1e6}[m[3]]
+    return abs(value - float(m[1]) * scale) <= 0.5 * scale / 10 ** len(m[2] or "")
+
+
+def _rate_mismatches(text):
+    """Rates in text's table that the change medians of the BENCH record it
+    names do not round to, or rows the table lacks."""
+    record = re.search(r"the change medians of\s+`(BENCH_\d+\.json)`", text)[1]
+    summary = json.loads((README.parent / record).read_text())["summary"]
+    workloads = re.findall(r"`(\w+)`", re.search(r"^\| decoder \|(.*)\|$", text, re.M)[1])
+    found = []
+    for name, metric in RATE_METRICS.items():
+        row = re.search(rf"^\| `{name}`[^|]*\|(.*)\|$", text, re.M)
+        cells = [] if row is None else [cell.strip() for cell in row[1].split("|")]
+        if len(cells) != len(workloads):
+            found.append(f"{name}: no row of {len(workloads)} rates")
+        for workload, stated in zip(workloads, cells):
+            median = summary[workload][metric]["change_median"]
+            if not _within_rounding(stated, median):
+                found.append(f"{name} on {workload}: text {stated}, {record} {median:.0f}")
+    return found
+
+
+def test_readme_rates_match_the_named_record():
+    found = _rate_mismatches(README.read_text())
+    assert not found, found
+
+
+def test_readme_rate_check_sees_an_edited_rate():
+    text = README.read_text()
+    row = re.search(r"^\| `represent_decode`[^|]*\| (\S+) \|", text, re.M)
+    stated = row[1]
+    number = re.fullmatch(r"(\d+)k", stated)[1]
+    edited = text.replace(row[0], row[0].replace(stated, f"{int(number) + 1}k"))
+    found = _rate_mismatches(edited)
+    assert len(found) == 1 and found[0].startswith("represent_decode on noisy: text"), found
+    assert _within_rounding("1.02M", 1_024_999) and not _within_rounding("1.02M", 1_025_001)
+    assert _within_rounding("196k", 195_500) and not _within_rounding("196k", 196_501)
