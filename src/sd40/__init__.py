@@ -23,7 +23,7 @@ from .decoders import (
     syndrome,
     syndrome_decode,
 )
-from .gf4 import Gf4Word, hermitian_inner, trace_inner
+from .gf4 import format_symbols, hermitian_inner, parse_symbols, trace_inner
 from .oracle import OracleTable, build_oracle, indexed_decode, oracle_decode
 from .projection import (
     has_projection_e,

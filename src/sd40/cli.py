@@ -21,7 +21,7 @@ from . import decoders as dc
 from . import oracle as oc
 from . import projection as pj
 from . import quaternary as qt
-from .gf4 import ALPHABET, Gf4Word
+from .gf4 import ALPHABET, format_symbols
 from .projection import N_BITS, N_COLS
 
 EXIT_OK = 0
@@ -98,15 +98,15 @@ class Transcript:
             c = out.case
             erased = " ".join(map(str, c.erasure_columns)) or "none"
             lines.append(f"case: {c.case_id}  {c.parity_split}  erasure columns: {erased}")
-        lines.append(f"projection y: {Gf4Word(y, N_COLS).to_string()}")
+        lines.append(f"projection y: {format_symbols(y, N_COLS)}")
         if out.algorithm == "syndrome":
-            lines.append(f"syndrome H conj(y)^T: {Gf4Word(dc.syndrome(y), 5).to_string()}")
+            lines.append(f"syndrome H conj(y)^T: {format_symbols(dc.syndrome(y), 5)}")
             if out.ok:
-                e = Gf4Word(y ^ out.corrected_projection, N_COLS)
-                lines.append(f"error word e: {e.to_string()}")
+                e = y ^ out.corrected_projection
+                lines.append(f"error word e: {format_symbols(e, N_COLS)}")
         if out.ok:
             y2 = out.corrected_projection
-            lines.append(f"corrected projection y': {Gf4Word(y2, N_COLS).to_string()}")
+            lines.append(f"corrected projection y': {format_symbols(y2, N_COLS)}")
             lines += _array_block(out.codeword, y2, "y'")
             flips = " ".join(map(str, out.flipped_bits)) or "none"
             lines.append(f"flipped bits: {flips}")
@@ -122,7 +122,7 @@ def _array_block(v: int, y: int, label: str) -> list[str]:
     lines = [head]
     for name, row in zip(ALPHABET, pj.format_array_text(v).splitlines()):
         lines.append(f"{name:>4} |" + "".join(f"{bit:>3}" for bit in row))
-    cells = "".join(f"{c:>3}" for c in Gf4Word(y, N_COLS).to_string())
+    cells = "".join(f"{c:>3}" for c in format_symbols(y, N_COLS))
     lines.append(f"{label:>4} |" + cells)
     return lines
 
@@ -236,7 +236,7 @@ def cmd_census(args) -> int:
     print("type  representative  weight  count")
     for t in qt.ORBIT_TYPES:
         print(
-            f"{t.type_id:>4}  {Gf4Word(t.representative, N_COLS).to_string()}      "
+            f"{t.type_id:>4}  {format_symbols(t.representative, N_COLS)}      "
             f"{t.weight:>2}  {census[t.type_id]:>5}"
         )
     print(f"total nonzero codewords: {sum(census.values())}")
@@ -245,8 +245,8 @@ def cmd_census(args) -> int:
 
 def cmd_tables(args) -> int:
     tables = {
-        "e10": ("E10", [Gf4Word(r, N_COLS).to_string() for r in qt.e10_matrix().rows]),
-        "b10": ("B10", [Gf4Word(r, N_COLS).to_string() for r in qt.b10_matrix().rows]),
+        "e10": ("E10", [format_symbols(r, N_COLS) for r in qt.e10_matrix().rows]),
+        "b10": ("B10", [format_symbols(r, N_COLS) for r in qt.b10_matrix().rows]),
         "de": ("C40,1-DE", cn.printed_de_matrix().to_text().splitlines()),
         "se": ("C40,1-SE", cn.printed_se_matrix().to_text().splitlines()),
     }

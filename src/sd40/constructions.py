@@ -79,8 +79,9 @@ class BinaryGeneratorMatrix:
     def __post_init__(self) -> None:
         if len(self.rows) != DIMENSION:
             raise ValueError(f"expected {DIMENSION} rows, got {len(self.rows)}")
-        if any(r >> N_BITS for r in self.rows):
-            raise ValueError("row longer than 40 bits")
+        for r in self.rows:
+            if type(r) is not int or r >> N_BITS:  # r >> N_BITS is -1 for every negative r
+                raise ValueError(f"row {r!r} is not a {N_BITS}-bit word")
         if len(self.reduced) != DIMENSION:
             raise ValueError(f"{self.name}: rows have rank {len(self.reduced)}, not {DIMENSION}")
 
@@ -103,8 +104,8 @@ class BinaryGeneratorMatrix:
 
     def encode(self, message: int) -> int:
         """XOR of the rows selected by the 20 message bits (bit 19 = row 1)."""
-        if message >> DIMENSION:
-            raise ValueError("message longer than 20 bits")
+        if type(message) is not int or message >> DIMENSION:
+            raise ValueError(f"message {message!r} is not a {DIMENSION}-bit int")
         word = 0
         for i in range(DIMENSION):
             if (message >> (DIMENSION - 1 - i)) & 1:

@@ -8,7 +8,8 @@ MUL, CONJ and TRACE.
 A word of n symbols is packed into a single int, two bits per symbol,
 position i (0-based, leftmost symbol first) at bits 2i..2i+1.  Packing
 keeps codeword tables small and makes vector addition one XOR.  Every
-layer passes words packed; `Gf4Word` only prints and parses them.
+layer passes words packed; `format_symbols` and `parse_symbols` print and
+parse them.
 
 Every linear structure in the package (codeword tables of GF(2)-spans and
 lookup tables of GF(2)-linear maps) is built by `xor_span`, as a list.
@@ -16,8 +17,7 @@ lookup tables of GF(2)-linear maps) is built by `xor_span`, as a list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 ZERO, ONE, OMEGA, OMEGA_BAR = 0, 1, 2, 3
 
@@ -33,7 +33,6 @@ TRACE = (0, 0, 1, 1)  # a + a^2, lands in {0, 1}
 
 # Text alphabet used by the CLI and test fixtures.
 ALPHABET = "01wW"
-_VALUE_OF_CHAR = {c: v for v, c in enumerate(ALPHABET)}
 
 
 class InternalInvariantError(RuntimeError):
@@ -76,11 +75,12 @@ def leader_table(leaders: Iterable[int], syndrome: Callable[[int], int]) -> dict
 
 def nonzero_mask(n: int) -> int:
     """Mask with bit pattern 01 repeated n times (low bit of each field)."""
-    return int("01" * n, 2)
+    return (4 ** n - 1) // 3
 
 
 def word_weight(bits: int, n: int) -> int:
     """Number of nonzero symbols in a packed n-symbol word."""
+    bits = packed(bits, n)
     return ((bits | (bits >> 1)) & nonzero_mask(n)).bit_count()
 
 
@@ -92,62 +92,27 @@ def word_times_w(bits: int, n: int) -> int:
     return hi | ((bits ^ hi) & nonzero_mask(n)) << 1
 
 
-@dataclass(frozen=True, slots=True)
-class Gf4Word:
-    """Immutable length-n vector over GF(4), packed two bits per symbol."""
-
-    bits: int
-    n: int = 10
-
-    def __post_init__(self) -> None:
-        # Bits above 2n would be invisible to printing yet count for
-        # equality, so a word holds exactly n symbols.
-        if (type(self.bits) is not int or type(self.n) is not int or self.n < 0
-                or not 0 <= self.bits < 1 << (2 * self.n)):
-            raise ValueError(f"bits {self.bits!r} do not pack {self.n} GF(4) symbols")
-
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[int], n: int | None = None) -> "Gf4Word":
-        syms = tuple(symbols)
-        if n is not None and (type(n) is not int or len(syms) != n):
-            raise ValueError(f"expected {n!r} symbols, got {len(syms)}")
-        bits = 0
-        for i, s in enumerate(syms):
-            if type(s) is not int or not 0 <= s <= 3:
-                raise ValueError(f"symbol {s!r} at position {i + 1} is not in GF(4)")
-            bits |= s << (2 * i)
-        return cls(bits, len(syms))
-
-    @classmethod
-    def from_string(cls, text: str, n: int | None = None) -> "Gf4Word":
-        try:
-            symbols = [_VALUE_OF_CHAR[c] for c in text]
-        except KeyError as exc:
-            raise ValueError(
-                f"bad symbol {exc.args[0]!r}; alphabet is {ALPHABET!r}"
-            ) from None
-        return cls.from_symbols(symbols, n)
-
-    def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        for _ in range(self.n):
-            yield bits & 3
-            bits >>= 2
-
-    def to_string(self) -> str:
-        return "".join(ALPHABET[s] for s in self)
-
-    def __repr__(self) -> str:
-        return f"Gf4Word({self.to_string()!r})"
-
-
 def packed(word: int, n: int) -> int:
     """The bits of a packed n-symbol word, checked: anything but an int
-    in [0, 4^n), a Gf4Word included, is a ValueError."""
+    in [0, 4^n) is a ValueError."""
     # A length is an int >= 0, not True (== 1) or 10.0 (== 10).
     if type(n) is int and n >= 0 and type(word) is int and 0 <= word < 1 << (2 * n):
         return word
     raise ValueError(f"{word!r} is not a packed {n!r}-symbol word")
+
+
+def format_symbols(word: int, n: int) -> str:
+    """The text of a packed n-symbol word over ALPHABET, leftmost symbol
+    first."""
+    bits = packed(word, n)
+    return "".join(ALPHABET[(bits >> i) & 3] for i in range(0, 2 * n, 2))
+
+
+def parse_symbols(text: str, n: int) -> int:
+    """The packed word written as text: exactly n symbols over ALPHABET."""
+    if type(n) is not int or len(text) != n or not set(text) <= set(ALPHABET):
+        raise ValueError(f"{text!r} is not {n!r} symbols over {ALPHABET!r}")
+    return sum(ALPHABET.index(c) << 2 * i for i, c in enumerate(text))
 
 
 def hermitian_inner(x: int, y: int, n: int) -> int:

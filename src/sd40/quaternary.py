@@ -18,28 +18,27 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from .gf4 import (Gf4Word, InternalInvariantError, hermitian_inner, packed, word_times_w,
-                  word_weight, xor_span)
+from .gf4 import (InternalInvariantError, format_symbols, hermitian_inner, packed,
+                  parse_symbols, word_times_w, word_weight, xor_span)
 
 N = 10
 CODE_SIZE = 1 << N  # 2^10 GF(2)-linear combinations
 
 # GF(4)-basis rows as printed; the GF(2)-basis adds their w-multiples.
-# Symbols 0,1,2,3 = 0,1,w,W.
 _E10_ROWS = (
-    (1, 1, 1, 1, 0, 0, 0, 0, 0, 0),
-    (0, 0, 1, 1, 1, 1, 0, 0, 0, 0),
-    (0, 0, 0, 0, 1, 1, 1, 1, 0, 0),
-    (0, 0, 0, 0, 0, 0, 1, 1, 1, 1),
-    (1, 0, 1, 0, 1, 0, 1, 0, 2, 3),
+    "1111000000",
+    "0011110000",
+    "0000111100",
+    "0000001111",
+    "10101010wW",
 )
 
 _B10_ROWS = (
-    (1, 1, 1, 1, 0, 0, 0, 0, 0, 0),
-    (0, 1, 2, 3, 1, 0, 0, 0, 0, 0),
-    (0, 0, 0, 0, 0, 1, 1, 1, 1, 0),
-    (0, 0, 0, 0, 0, 0, 1, 2, 3, 1),
-    (0, 1, 3, 2, 0, 0, 1, 3, 2, 0),
+    "1111000000",
+    "01wW100000",
+    "0000011110",
+    "0000001wW1",
+    "01Ww001Ww0",
 )
 
 
@@ -91,12 +90,12 @@ def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
 
 @functools.lru_cache(maxsize=None)
 def e10_matrix() -> QuaternaryGeneratorMatrix:
-    return QuaternaryGeneratorMatrix("E10", tuple(Gf4Word.from_symbols(r).bits for r in _E10_ROWS))
+    return QuaternaryGeneratorMatrix("E10", tuple(parse_symbols(r, N) for r in _E10_ROWS))
 
 
 @functools.lru_cache(maxsize=None)
 def b10_matrix() -> QuaternaryGeneratorMatrix:
-    return QuaternaryGeneratorMatrix("B10", tuple(Gf4Word.from_symbols(r).bits for r in _B10_ROWS))
+    return QuaternaryGeneratorMatrix("B10", tuple(parse_symbols(r, N) for r in _B10_ROWS))
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,18 +151,18 @@ class OrbitType:
 
 
 _TYPE_DATA = (
-    (1, (1, 1, 1, 1, 0, 0, 0, 0, 0, 0), 30, 4),
-    (2, (1, 0, 1, 0, 1, 0, 1, 0, 2, 3), 240, 6),
-    (3, (2, 2, 3, 3, 1, 1, 0, 0, 0, 0), 60, 6),
-    (4, (1, 1, 1, 1, 1, 1, 1, 1, 0, 0), 15, 8),
-    (5, (1, 1, 1, 1, 2, 2, 2, 2, 0, 0), 90, 8),
-    (6, (3, 2, 3, 2, 1, 0, 1, 0, 2, 3), 480, 8),
-    (7, (3, 2, 3, 2, 2, 3, 2, 3, 2, 3), 48, 10),
-    (8, (1, 1, 1, 1, 1, 1, 3, 3, 2, 2), 60, 10),
+    (1, "1111000000", 30, 4),
+    (2, "10101010wW", 240, 6),
+    (3, "wwWW110000", 60, 6),
+    (4, "1111111100", 15, 8),
+    (5, "1111wwww00", 90, 8),
+    (6, "WwWw1010wW", 480, 8),
+    (7, "WwWwwWwWwW", 48, 10),
+    (8, "111111WWww", 60, 10),
 )
 
 ORBIT_TYPES: tuple[OrbitType, ...] = tuple(
-    OrbitType(tid, Gf4Word.from_symbols(rep).bits, count, weight)
+    OrbitType(tid, parse_symbols(rep, N), count, weight)
     for tid, rep, count, weight in _TYPE_DATA
 )
 
@@ -203,7 +202,7 @@ def classify_type(word: int) -> OrbitType:
         raise ValueError("the zero word has no type")
     tid = orbit_lookup().get(bits)
     if tid is None:
-        raise ValueError(f"{Gf4Word(bits, N).to_string()} is not a codeword of E10")
+        raise ValueError(f"{format_symbols(bits, N)} is not a codeword of E10")
     return ORBIT_TYPES[tid - 1]
 
 

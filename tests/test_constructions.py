@@ -25,7 +25,7 @@ from sd40.constructions import (
     row_reduce,
     same_span,
 )
-from sd40.gf4 import Gf4Word
+from sd40.gf4 import format_symbols, parse_symbols
 
 DE_DISTRIBUTION = {
     0: 1, 8: 285, 12: 21280, 16: 239970, 20: 525504,
@@ -39,13 +39,13 @@ SE_DISTRIBUTION = {
 
 
 def test_binmap_examples():
-    w = Gf4Word.from_string("1111000000").bits
+    w = parse_symbols("1111000000", 10)
     assert format(binmap(w), "040b") == "0011" * 4 + "0000" * 6
     assert binmap(0) == 0
-    w2 = Gf4Word.from_string("wW00000000").bits
+    w2 = parse_symbols("wW00000000", 10)
     assert format(binmap(w2), "040b") == "01010110" + "0000" * 8
-    # An 11-symbol word, a negative int, and a Gf4Word, which is no packed word.
-    for bad in (1 << 20, -1, Gf4Word(0, 10)):
+    # An 11-symbol word, a negative int, and a word's text, which is no packed word.
+    for bad in (1 << 20, -1, format_symbols(0, 10)):
         with pytest.raises(ValueError, match="not a packed 10-symbol word"):
             binmap(bad)
 
@@ -182,8 +182,10 @@ def test_encode_unit_vectors():
     assert m.encode(1 << 19) == m.rows[0]
     assert m.encode(0) == 0
     assert m.encode(0b11 << 18) == m.rows[0] ^ m.rows[1]
-    with pytest.raises(ValueError):
-        m.encode(1 << 20)
+    # A message is an int of 20 bits: not a bool, a float or a negative int.
+    for bad in (1 << 20, -1, True, 1.0):
+        with pytest.raises(ValueError, match=f"message {bad!r} is not a 20-bit int"):
+            m.encode(bad)
 
 
 def test_matrix_text_roundtrip():
@@ -199,6 +201,9 @@ def test_rank_deficient_matrix_rejected():
     rows = printed_de_matrix().rows
     with pytest.raises(ValueError):
         BinaryGeneratorMatrix("bad", rows[:19] + (rows[0] ^ rows[1],))
+    for bad in (1 << 40, -5, True, 1.0):
+        with pytest.raises(ValueError, match=f"row {bad!r} is not a 40-bit word"):
+            BinaryGeneratorMatrix("bad", rows[:19] + (bad,))
 
 
 def test_non_self_dual_matrix_flagged():

@@ -15,7 +15,7 @@ import sd40
 from sd40 import decoders as dc
 from sd40 import cli, gf4, projection, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
-from sd40.gf4 import CONJ, MUL, Gf4Word, xor_span
+from sd40.gf4 import ALPHABET, CONJ, MUL, format_symbols, parse_symbols, xor_span
 from sd40.oracle import indexed_decode
 from sd40.projection import (N_COLS, LiftError, format_array_text, has_projection_e,
                              has_projection_o, lift, parity_profile, parse_array_text, proj_bits)
@@ -58,13 +58,13 @@ def _decoders():
 def test_golden_examples(k):
     array, yprime, syn, flips, case_id = EXAMPLES[k]
     v = parse_array_text(array)
-    assert dc.syndrome(proj_bits(v)) == Gf4Word.from_string(syn).bits
+    assert dc.syndrome(proj_bits(v)) == parse_symbols(syn, 5)
     expected_word = parse_array_text(CORRECTED_ARRAYS[k])
     for decode in _decoders():
         out = decode(v)
         assert out.ok
         assert out.case.case_id == case_id
-        assert out.corrected_projection == Gf4Word.from_string(yprime).bits
+        assert out.corrected_projection == parse_symbols(yprime, 10)
         assert out.flipped_bits == flips
         assert out.codeword == expected_word
 
@@ -122,20 +122,20 @@ def test_case_budgets():
 
 
 def test_find_closest_examples(e10):
-    y1 = Gf4Word.from_string("10101001ww").bits
-    assert dc.find_closest_in_e10(y1, ()) == Gf4Word.from_string("10101001Ww").bits
+    y1 = parse_symbols("10101001ww", 10)
+    assert dc.find_closest_in_e10(y1, ()) == parse_symbols("10101001Ww", 10)
     row = e10_matrix().rows[4]
     assert dc.find_closest_in_e10(row, ()) == row
-    y3 = Gf4Word.from_string("wwWWww1100").bits
-    assert dc.find_closest_in_e10(y3, (5, 6)) == Gf4Word.from_string("wwWW001100").bits
+    y3 = parse_symbols("wwWWww1100", 10)
+    assert dc.find_closest_in_e10(y3, (5, 6)) == parse_symbols("wwWW001100", 10)
     # Distance 2 from the code with no erasures: nothing inside the budget.
-    y_far = Gf4Word.from_string("WW11000000").bits
+    y_far = parse_symbols("WW11000000", 10)
     assert dc.find_closest_in_e10(y_far, ()) is None
 
 
 def test_syndrome_examples(e10):
-    assert dc.syndrome(Gf4Word.from_string("10101001ww").bits) == Gf4Word.from_string("0001w").bits
-    assert dc.syndrome(Gf4Word.from_string("wwWWww1100").bits) == Gf4Word.from_string("0000W").bits
+    assert dc.syndrome(parse_symbols("10101001ww", 10)) == parse_symbols("0001w", 5)
+    assert dc.syndrome(parse_symbols("wwWWww1100", 10)) == parse_symbols("0000W", 5)
     for bits in e10.word_set:
         assert dc.syndrome(bits) == 0
 
@@ -148,15 +148,15 @@ def test_syndrome_byte_tables_match_h():
     # Entry b of table k is H conj(y)^T for the projection y holding b in
     # byte k, symbol r of the syndrome at bits 2r, 2r+1.  The reference
     # multiplies the printed rows out with the field tables alone.
-    assert [Gf4Word(r, 10).to_string() for r in e10_matrix().linear_rows] == list(H_ROWS)
+    assert [format_symbols(r, 10) for r in e10_matrix().linear_rows] == list(H_ROWS)
     # Columns 9 and 5 of H, read down the printed rows.
     assert "".join(r[8] for r in H_ROWS) == "0001w" and "".join(r[4] for r in H_ROWS) == "01101"
-    h = [tuple(Gf4Word.from_string(row)) for row in H_ROWS]
+    h = [[ALPHABET.index(c) for c in row] for row in H_ROWS]
     tables = dc._syndrome_bytes()
     assert [len(t) for t in tables] == [256, 256, 16]
     for k, table in enumerate(tables):
         for b, s in enumerate(table):
-            y = tuple(Gf4Word(b << 8 * k, 10))
+            y = [(b << 8 * k) >> i & 3 for i in range(0, 20, 2)]
             want = 0
             for r, row in enumerate(h):
                 for a, c in zip(row, y):
@@ -166,20 +166,20 @@ def test_syndrome_byte_tables_match_h():
 
 def test_parity_check_matrix_columns():
     # Column c of H is the syndrome of the word with a 1 at column c alone.
-    assert Gf4Word(dc.syndrome(1 << 2 * 8), 5).to_string() == "0001w"
-    assert Gf4Word(dc.syndrome(1 << 2 * 4), 5).to_string() == "01101"
+    assert format_symbols(dc.syndrome(1 << 2 * 8), 5) == "0001w"
+    assert format_symbols(dc.syndrome(1 << 2 * 4), 5) == "01101"
 
 
 def test_solve_syndrome_examples():
-    s1 = Gf4Word.from_string("0001w", 5).bits
-    assert dc.solve_syndrome(s1, ()) == Gf4Word.from_string("0000000010").bits
-    s2 = Gf4Word.from_string("wW101", 5).bits
-    assert dc.solve_syndrome(s2, (5,)) == Gf4Word.from_string("000W100000").bits
-    s4 = Gf4Word.from_string("0000w", 5).bits
-    assert dc.solve_syndrome(s4, (2, 5, 6)) == Gf4Word.from_string("0000WW0000").bits
+    s1 = parse_symbols("0001w", 5)
+    assert dc.solve_syndrome(s1, ()) == parse_symbols("0000000010", 10)
+    s2 = parse_symbols("wW101", 5)
+    assert dc.solve_syndrome(s2, (5,)) == parse_symbols("000W100000", 10)
+    s4 = parse_symbols("0000w", 5)
+    assert dc.solve_syndrome(s4, (2, 5, 6)) == parse_symbols("0000WW0000", 10)
     assert dc.solve_syndrome(0, ()) == 0
     # Two-column syndrome with a no-erasure budget is unsolvable.
-    two = dc.syndrome(Gf4Word.from_string("1w00000000").bits)
+    two = dc.syndrome(parse_symbols("1w00000000", 10))
     assert dc.solve_syndrome(two, ()) is None
 
 
@@ -667,35 +667,36 @@ def test_projection_domain(y):
 
 # A public function takes a 10-symbol word as its packed bits, and a word
 # of another length is an error, not a shorter or longer word read as one.
-# gf4.packed makes that check for each of them, and refuses a Gf4Word of
-# any length as it refuses any other non-int.  A float is no word either,
-# even one equal to an int: packed(1.0, 10) must not hand 1.0 on to the
-# first XOR.  The searches and the lift are unchecked decode stages that
-# only _decode calls (see test_hygiene), so they have no rows here.
+# gf4.packed makes that check for each of them, and refuses a word's text
+# as it refuses any other non-int.  A float is no word either, even one
+# equal to an int: packed(1.0, 10) must not hand 1.0 on to the first XOR.
+# The searches and the lift are unchecked decode stages that only _decode
+# calls (see test_hygiene), so they have no rows here.
 WRONG_LENGTH = {
-    "syndrome-1": (dc.syndrome, Gf4Word.from_string("1")),
-    "syndrome-11": (dc.syndrome, Gf4Word(0, 11)),
-    # The bits of an E10 codeword, read as 11 symbols, are no codeword.
-    "classify_type-11": (classify_type, Gf4Word(e10_matrix().rows[0], 11)),
+    "syndrome-11": (dc.syndrome, 1 << 20),
+    # An E10 codeword with an eleventh symbol is no codeword.
+    "classify_type-11": (classify_type, e10_matrix().rows[0] | 1 << 20),
     "classify_type-int": (classify_type, 1 << 20),
     "orbit-int": (quaternary.orbit, 1 << 20),
     "orbit-negative": (quaternary.orbit, -1),
-    "orbit-word": (quaternary.orbit, Gf4Word(0, 10)),
-    "packed-5-word": (gf4.packed, Gf4Word(0, 10), 5),
+    "orbit-word": (quaternary.orbit, "0" * 10),
+    "packed-5-word": (gf4.packed, "0" * 10, 5),
     "packed-5-int": (gf4.packed, 1 << 10, 5),
-    "packed-10-word": (gf4.packed, Gf4Word(0, 5), 10),
+    "packed-10-word": (gf4.packed, "0" * 5, 10),
     "packed-10-int": (gf4.packed, 1 << 20, 10),
     "packed-float": (gf4.packed, 1.0, 10),
     "syndrome-float": (dc.syndrome, 2.0),
-    "Gf4Word-float": (Gf4Word, 1.0),
+    "format_symbols-float": (gf4.format_symbols, 1.0, 10),
+    "word_weight-int": (gf4.word_weight, 1 << 20, 10),
+    "word_weight-negative": (gf4.word_weight, -1, 10),
     # Nor is a bool or a float a length: True == 1 and 10.0 == 10.
-    "Gf4Word-n-bool": (Gf4Word, 3, True),
-    "Gf4Word-n-float": (Gf4Word, 0, 10.0),
+    "format_symbols-n-bool": (gf4.format_symbols, 3, True),
+    "format_symbols-n-float": (gf4.format_symbols, 0, 10.0),
     "packed-n-bool": (gf4.packed, 0, True),
     "packed-n-float": (gf4.packed, 0, 10.0),
     "packed-n-negative": (gf4.packed, 0, -1),
-    "from_symbols-n-float": (Gf4Word.from_symbols, [0], 1.0),
-    "from_string-n-bool": (Gf4Word.from_string, "0", True),
+    "parse_symbols-n-float": (gf4.parse_symbols, "0", 1.0),
+    "parse_symbols-n-bool": (gf4.parse_symbols, "0", True),
 }
 
 
@@ -728,29 +729,6 @@ def test_flipped_bits_reads_any_mask_in_bounded_time():
     # The property reads 40 bit positions, so even a negative mask (all
     # ones to the left) gives a tuple instead of looping forever.
     assert dc.DecodeOutcome("x", None, -1, None).flipped_bits == tuple(range(1, 41))
-
-
-def test_warm_corrected_decode_builds_no_gf4word(monkeypatch):
-    words = [parse_array_text(array) for array, *_ in EXAMPLES.values()]
-    decoders = (dc.represent_decode, dc.syndrome_decode)
-    for v in words:  # builds the lazy tables
-        for decode in decoders:
-            decode(v)
-    built = []
-    init = Gf4Word.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Gf4Word, "__init__", counting_init)
-    for v in words:
-        for decode in decoders:
-            out = decode(v)
-            assert out.ok and out.flipped_bits
-    assert built == []
-    Gf4Word(0, 10)  # the counter does see a construction
-    assert built == [(0, 10)]
 
 
 # The stages _decode looks up in the module namespace on every call, per

@@ -14,10 +14,11 @@ from sd40.gf4 import (
     ONE,
     TRACE,
     ZERO,
-    Gf4Word,
     byte_tables,
+    format_symbols,
     hermitian_inner,
     packed,
+    parse_symbols,
     trace_inner,
     word_times_w,
     word_weight,
@@ -90,69 +91,73 @@ def test_trace_inner_self_and_zero():
 
 
 def test_hermitian_inner_examples():
-    x = Gf4Word.from_string("1111000000").bits
-    y = Gf4Word.from_string("0011110000").bits
+    x = parse_symbols("1111000000", 10)
+    y = parse_symbols("0011110000", 10)
     assert hermitian_inner(x, y, 10) == ZERO
     assert hermitian_inner(x, x, 10) == ZERO  # weight 4, each position gives 1
     assert hermitian_inner(x, 0, 10) == ZERO
     # w * conj(1) + 1 * conj(w) = w + W = 1
-    assert hermitian_inner(Gf4Word.from_string("w1").bits, Gf4Word.from_string("1w").bits, 2) == ONE
+    assert hermitian_inner(parse_symbols("w1", 2), parse_symbols("1w", 2), 2) == ONE
 
 
 def test_inner_product_length_mismatch():
-    # Either word may be the one that does not pack n symbols; a Gf4Word
-    # is no packed word.
-    for x, y in ((0, 1 << 20), (1 << 20, 0), (-1, 0), (Gf4Word(0, 10), 0)):
+    # Either word may be the one that does not pack n symbols; a word's
+    # text is no packed word.
+    for x, y in ((0, 1 << 20), (1 << 20, 0), (-1, 0), ("0" * 10, 0)):
         with pytest.raises(ValueError, match="not a packed 10-symbol word"):
             hermitian_inner(x, y, 10)
         with pytest.raises(ValueError, match="not a packed 10-symbol word"):
             trace_inner(x, y, 10)
 
 
+def symbols(word, n):
+    return tuple((word >> i) & 3 for i in range(0, 2 * n, 2))
+
+
 def test_word_parsing_and_formatting():
-    w = Gf4Word.from_string("10101001wW")
-    assert w.to_string() == "10101001wW"
-    assert tuple(w) == (1, 0, 1, 0, 1, 0, 0, 1, 2, 3)
-    assert word_weight(w.bits, w.n) == 6
-    assert w.n == 10
-    with pytest.raises(ValueError):
-        Gf4Word.from_string("10101001wX")
-    with pytest.raises(ValueError):
-        Gf4Word.from_string("101", 10)
-    # A float equal to a symbol would fail later, as a shift.
-    with pytest.raises(ValueError, match="not in GF"):
-        Gf4Word.from_symbols([1.0])
+    w = parse_symbols("10101001wW", 10)
+    assert format_symbols(w, 10) == "10101001wW"
+    assert symbols(w, 10) == (1, 0, 1, 0, 1, 0, 0, 1, 2, 3)
+    assert word_weight(w, 10) == 6
+
+
+def test_parse_symbols_inverts_format_symbols(e10):
+    words = [(w, 10) for w in e10.word_set] + [(w, 5) for w in range(4 ** 5)] + [(0, 0)]
+    for w, n in words:
+        assert parse_symbols(format_symbols(w, n), n) == w
+    assert format_symbols(0, 0) == ""
+    for text, n in (("10101001wX", 10), ("101", 10), ("0", True), ("0" * 10, 10.0)):
+        with pytest.raises(ValueError, match="symbol"):
+            parse_symbols(text, n)
 
 
 def test_word_addition_and_scaling():
-    a = Gf4Word.from_string("ww00000000")
-    b = Gf4Word.from_string("W100000000")
-    assert Gf4Word(a.bits ^ b.bits, a.n).to_string() == "1W00000000"
-    assert Gf4Word(word_times_w(a.bits, 10), 10).to_string() == "WW00000000"
+    a = parse_symbols("ww00000000", 10)
+    b = parse_symbols("W100000000", 10)
+    assert format_symbols(a ^ b, 10) == "1W00000000"
+    assert format_symbols(word_times_w(a, 10), 10) == "WW00000000"
     # w^3 = 1, so three w-multiples give the word back.
-    assert word_times_w(word_times_w(word_times_w(a.bits, 10), 10), 10) == a.bits
+    assert word_times_w(word_times_w(word_times_w(a, 10), 10), 10) == a
     assert word_times_w(0, 10) == 0
 
 
 def test_packed_helpers_match_word_api():
-    w = Gf4Word.from_string("0W1w01w0W0")
-    assert word_weight(w.bits, w.n) == sum(s != ZERO for s in w) == 6
-    scaled = Gf4Word(word_times_w(word_times_w(w.bits, 10), 10), 10)
-    assert tuple(scaled) == tuple(MUL[OMEGA_BAR][s] for s in w)
+    w = parse_symbols("0W1w01w0W0", 10)
+    assert word_weight(w, 10) == sum(s != ZERO for s in symbols(w, 10)) == 6
+    scaled = word_times_w(word_times_w(w, 10), 10)
+    assert symbols(scaled, 10) == tuple(MUL[OMEGA_BAR][s] for s in symbols(w, 10))
 
 
 def test_word_times_w_is_mul_by_omega_on_every_5_symbol_word():
-    for symbols in itertools.product(ELEMENTS, repeat=5):
-        word = Gf4Word.from_symbols(symbols)
-        assert tuple(Gf4Word(word_times_w(word.bits, 5), 5)) == tuple(
-            MUL[OMEGA][s] for s in symbols)
+    for word in range(4 ** 5):
+        assert symbols(word_times_w(word, 5), 5) == tuple(MUL[OMEGA][s] for s in symbols(word, 5))
 
 
-@pytest.mark.parametrize("bits", [1 << 20, -1, 1.0, Gf4Word(0, 10)],
-                         ids=["1048576", "-1", "1.0", "Gf4Word"])
+@pytest.mark.parametrize("bits", [1 << 20, -1, 1.0, "0" * 10],
+                         ids=["1048576", "-1", "1.0", "text"])
 def test_word_times_w_refuses_a_bad_word(bits):
     # 1 << 20 would drop its eleventh symbol and -1 would read as all W;
-    # 1.0 and a Gf4Word would fail later, as a shift.
+    # 1.0 and a word's text would fail later, as a shift.
     with pytest.raises(ValueError, match="not a packed 10-symbol word"):
         word_times_w(bits, 10)
 
@@ -160,41 +165,42 @@ def test_word_times_w_refuses_a_bad_word(bits):
 @pytest.mark.parametrize("bits,n", [(-1, 10), (1 << 20, 10), (1 << 24, 10), (5, 1),
                                     (1, 0), (0, -1)])
 def test_word_bits_fit_its_length(bits, n):
-    # A word out of range would print like an in-range one and still
-    # compare unequal to it.
-    with pytest.raises(ValueError):
-        Gf4Word(bits, n)
+    # A word out of range would print as n symbols of some other word.
+    with pytest.raises(ValueError, match="symbol"):
+        format_symbols(bits, n)
 
 
 def test_packed_refuses_a_gf4word():
-    # Out-of-range and wrong-length cases are in test_decoders' WRONG_LENGTH.
+    # A GF(4) word crosses the package packed: its text and its symbol
+    # tuple are refused, as a negative int is.  Out-of-range and
+    # wrong-length cases are in test_decoders' WRONG_LENGTH.
     for n in (5, 10):
         top = (1 << 2 * n) - 1
         assert packed(top, n) == top
         assert packed(0, n) == 0
-        for word in (Gf4Word(top, n), Gf4Word(0, n), -1):
+        for word in (format_symbols(top, n), symbols(0, n), -1):
             with pytest.raises(ValueError, match=f"is not a packed {n}-symbol word"):
                 packed(word, n)
 
 
 def test_word_range_edges():
-    assert Gf4Word((1 << 20) - 1, 10).to_string() == "W" * 10
-    assert Gf4Word(3, 1).to_string() == "W"
-    assert Gf4Word(0, 0).to_string() == ""
+    assert format_symbols((1 << 20) - 1, 10) == "W" * 10
+    assert format_symbols(3, 1) == "W"
+    # n = 0 packs one word, 0.
+    assert word_weight(0, 0) == word_times_w(0, 0) == 0
 
 
 @given(st.integers(0, 10).flatmap(lambda n: st.tuples(st.integers(0, 4**n - 1), st.just(n))))
 def test_word_string_roundtrip(word):
     bits, n = word
-    w = Gf4Word(bits, n)
-    text = w.to_string()
+    text = format_symbols(bits, n)
     assert len(text) == n and set(text) <= set("01wW")
-    assert Gf4Word.from_string(text, n) == w
+    assert parse_symbols(text, n) == bits
 
 
 @given(st.text(alphabet="01wW", max_size=12))
 def test_string_word_roundtrip(text):
-    assert Gf4Word.from_string(text).to_string() == text
+    assert format_symbols(parse_symbols(text, len(text)), len(text)) == text
 
 
 ROWS = st.lists(st.integers(0, (1 << 64) - 1), max_size=8)

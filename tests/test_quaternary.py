@@ -3,7 +3,8 @@ import random
 import pytest
 
 from sd40 import quaternary
-from sd40.gf4 import Gf4Word, InternalInvariantError, trace_inner, word_times_w, word_weight
+from sd40.gf4 import (InternalInvariantError, format_symbols, parse_symbols, trace_inner,
+                      word_times_w, word_weight)
 from sd40.quaternary import (
     GENERATORS,
     ORBIT_TYPES,
@@ -24,15 +25,15 @@ EXPECTED_CENSUS = {1: 30, 2: 240, 3: 60, 4: 15, 5: 90, 6: 480, 7: 48, 8: 60}
 
 def test_e10_printed_rows():
     rows = e10_matrix().rows
-    assert Gf4Word(rows[0], 10).to_string() == "1111000000"
-    assert Gf4Word(rows[4], 10).to_string() == "10101010wW"
-    assert Gf4Word(rows[9], 10).to_string() == "w0w0w0w0W1"
+    assert format_symbols(rows[0], 10) == "1111000000"
+    assert format_symbols(rows[4], 10) == "10101010wW"
+    assert format_symbols(rows[9], 10) == "w0w0w0w0W1"
 
 
 def test_b10_printed_rows():
     rows = b10_matrix().rows
-    assert Gf4Word(rows[1], 10).to_string() == "01wW100000"
-    assert Gf4Word(rows[4], 10).to_string() == "01Ww001Ww0"
+    assert format_symbols(rows[1], 10) == "01wW100000"
+    assert format_symbols(rows[4], 10) == "01Ww001Ww0"
 
 
 def test_rows_pairwise_trace_orthogonal():
@@ -78,7 +79,7 @@ def test_rank_deficiency_rejected():
 
 def test_rows_that_are_not_self_orthogonal_rejected():
     # 1000000000 has Hermitian product 1 with itself and with row 1.
-    lin = e10_matrix().linear_rows[:4] + (Gf4Word.from_string("1000000000").bits,)
+    lin = e10_matrix().linear_rows[:4] + (parse_symbols("1000000000", 10),)
     with pytest.raises(ValueError, match="not self-orthogonal"):
         QuaternaryGeneratorMatrix("bad", lin)
 
@@ -89,14 +90,14 @@ def test_generator_rows_are_five_words_of_length_ten():
     for rows in (lin[:4], lin + lin[:1]):
         with pytest.raises(ValueError, match="expected 5 rows"):
             QuaternaryGeneratorMatrix("bad", rows)
-    # 12-symbol rows, and the rows as Gf4Words rather than packed words.
-    for rows in (tuple(r | 1 << 22 for r in lin), tuple(Gf4Word(r, 10) for r in lin)):
+    # 12-symbol rows, and the rows as printed text rather than packed words.
+    for rows in (tuple(r | 1 << 22 for r in lin), tuple(format_symbols(r, 10) for r in lin)):
         with pytest.raises(ValueError, match="not a packed 10-symbol word"):
             QuaternaryGeneratorMatrix("bad", rows)
 
 
 def apply(name, text):
-    return Gf4Word(GENERATORS[name](Gf4Word.from_string(text).bits), 10).to_string()
+    return format_symbols(GENERATORS[name](parse_symbols(text, 10)), 10)
 
 
 def test_symmetry_actions():
@@ -107,7 +108,7 @@ def test_symmetry_actions():
     assert apply("(13)(24)", "1wW0w1W01w") == "W01ww1W01w"
     assert apply("w", "0W1w01w0W0") == "01wW0wW010"
     # Each generator has the order of its cycle type; w has order 3.
-    word = Gf4Word.from_string("1wW0w1W01w").bits
+    word = parse_symbols("1wW0w1W01w", 10)
     for name, order in (("(12)(34)", 2), ("(13)(24)", 2), ("(13579)(2468 10)", 5), ("w", 3)):
         images = [word]
         for _ in range(order):
@@ -126,7 +127,7 @@ def test_generators_reach_the_whole_monomial_group():
     # scales, so it lies in the monomial group of order 5! x 16 x 3 = 5760.
     # An orbit of 5760 words then shows that the four generate all of it.
     assert len(orbit(0x91B75)) == 5 * 4 * 3 * 2 * 16 * 3 == 5760
-    assert Gf4Word(0x91B75, 10).to_string() == "11W1Ww101w"
+    assert format_symbols(0x91B75, 10) == "11W1Ww101w"
 
 
 def test_block_cycle_matches_coordinate_cycle():
@@ -145,7 +146,7 @@ def test_orbit_census_matches_table(e10):
 def test_orbit_lookup_rejects_an_image_outside_e10(monkeypatch):
     # 0001000000 is no codeword, yet its orbit has 30 words like type 1's,
     # so only the membership check of the build can see the bad type.
-    bad = OrbitType(1, Gf4Word.from_string("0001000000").bits, 30, 1)
+    bad = OrbitType(1, parse_symbols("0001000000", 10), 30, 1)
     monkeypatch.setattr(quaternary, "ORBIT_TYPES", (bad, *ORBIT_TYPES[1:]))
     orbit_lookup.cache_clear()
     try:
@@ -201,15 +202,15 @@ def test_orbit_type_weights():
 
 def test_classify_examples():
     # Weight-8 word with three distinct nonzero symbols: the sixth type.
-    w = Gf4Word.from_string("0Ww1w1W0w1").bits
+    w = parse_symbols("0Ww1w1W0w1", 10)
     assert classify_type(w).type_id == 6
-    assert classify_type(Gf4Word.from_string("1111000000").bits).type_id == 1
-    assert classify_type(Gf4Word.from_string("WwWwwWwWwW").bits).type_id == 7
+    assert classify_type(parse_symbols("1111000000", 10)).type_id == 1
+    assert classify_type(parse_symbols("WwWwwWwWwW", 10)).type_id == 7
 
 
 def test_classify_rejects_non_codewords():
     with pytest.raises(ValueError, match="the zero word has no type"):
         classify_type(0)
     with pytest.raises(ValueError, match="1000000000 is not a codeword of E10"):
-        classify_type(Gf4Word.from_string("1000000000").bits)
+        classify_type(parse_symbols("1000000000", 10))
 
