@@ -90,6 +90,8 @@ class BinaryGeneratorMatrix:
         return row_reduce(self.rows)
 
     def contains(self, word: int) -> bool:
+        if type(word) is not int or word >> N_BITS:  # word >> N_BITS is -1 for every negative word
+            raise ValueError(f"received word {word} is not a {N_BITS}-bit word")
         for b in self.reduced:
             word = min(word, word ^ b)
         return word == 0

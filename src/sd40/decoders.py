@@ -42,18 +42,20 @@ keeps every column parity or flips them all; the minority columns, and
 with them the case and its budget, stay put.  The projection is
 GF(2)-linear and c projects into E10, which is linear, so the search on
 y + proj(c) finds the corrected projection moved by proj(c), or nothing
-both times: the error word stays put.  The lift's flips depend on the
-error word, the erasure set and v's top-row parity alone.  Finally c's
-top-row parity equals its column parity (DE, projection O) or is even
-(SE, projection E), so v + c meets the top-row rule exactly when v does.
-A success is the unique codeword within three flips, so it moves by c
-and the flips stay put.
+both times: the error word stays put.  The lift maps the error word,
+the erasure set and off, v's top-row parity XOR the one the code wants,
+to the flips or a LiftError.  Under DE c's top-row parity equals its
+column parity (projection O), so c moves v's top-row parity exactly when
+it moves the majority parity that DE wants; under SE it is even
+(projection E), as SE wants.  So off and the lift's answer stay put, and
+(v + c) ^ flips is the codeword moved by c.
 
 A decode checks its input once: _decode the code, classify_case the
 word.  The two searches and the lift, like proj_bits, check nothing:
-they take the packed ints and the case that _decode built.  The lift
-takes the error word either search gives and the case's erasure
-columns, and reads no projection or parity of v.  A
+they take the packed ints that _decode built.  _decode reads v for its
+case, its projection and its top-row parity, and once more to apply the
+flips; the lift, given the error word either search gives, the case's
+erasure nibbles and off, returns the flips and never sees v.  A
 DecodeOutcome stores four facts, the flips as the one 40-bit mask
 received ^ codeword, and derives ok, reason, the flipped bits and the
 corrected projection, which the lift writes into the codeword.  A
@@ -68,7 +70,7 @@ from dataclasses import dataclass, field
 
 from .gf4 import (InternalInvariantError, byte_tables, hermitian_inner, leader_table, packed,
                   xor_span)
-from .projection import N_BITS, N_COLS, LiftError, lift, parity_profile, proj_bits
+from .projection import N_BITS, N_COLS, TOP_ROW_MASK, LiftError, lift, parity_profile, proj_bits
 from .quaternary import e10_matrix, e10_table
 
 FAILURE_REASON = "more than three errors occurred"
@@ -276,12 +278,12 @@ def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
         return _failure(algorithm, case)
     # Projection O ties the top row to the column parity; projection E
     # wants it even regardless.
-    top_parity = case.majority_parity if code == "DE" else 0
+    off = (v & TOP_ROW_MASK).bit_count() & 1 ^ (case.majority_parity if code == "DE" else 0)
     try:
-        word = lift(v, error, case, top_parity)
+        flips = lift(error, case.erasure_nibbles, off)
     except LiftError:
         return _failure(algorithm, case)
-    return DecodeOutcome(algorithm, word, v ^ word, case)
+    return DecodeOutcome(algorithm, v ^ flips, flips, case)
 
 
 def represent_decode(v: int, code: str = "DE", members: None = None) -> DecodeOutcome:

@@ -16,12 +16,8 @@ two, in the top row and row s, or the complement of those two.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING
 
 from .gf4 import InternalInvariantError, byte_tables
-
-if TYPE_CHECKING:  # decoders imports this module
-    from .decoders import CaseLabel
 
 N_BITS = 40
 N_COLS = 10
@@ -122,10 +118,10 @@ def _flip_bytes() -> tuple[tuple[int, ...], ...]:
 _FLIP_BYTES = _flip_bytes()
 
 
-def lift(v: int, error: int, case: CaseLabel, top_row_parity: int) -> int:
-    """Rewrite columns of v so that its projection becomes proj(v) + error,
-    every column takes the majority parity of case, the parity case of v,
-    and the top row the given parity, flipping as few bits as possible.
+def lift(error: int, erasures: int, off: int) -> int:
+    """The fewest flips that move a word's projection by error, toggle the
+    parity of each erasure column and of no other, and flip an odd number
+    of top-row bits exactly when off is 1: a 40-bit mask.
 
     An erasure takes one flip, in the row labelled by its error symbol s;
     any other column with s != 0 takes two, the top row and row s.  If the
@@ -133,23 +129,22 @@ def lift(v: int, error: int, case: CaseLabel, top_row_parity: int) -> int:
     cost, or else the first erasure, at two more flips; wherever two
     columns could be, the flips already exceed RADIUS.
 
-    An unchecked decode stage: case is classify_case(v), error the packed
-    projection error word a search found inside case's budget, and
-    top_row_parity 0 or 1.  Returns the rewritten word, whose XOR with v is
-    the flip mask; LiftError when no rewrite exists within RADIUS flips.
+    An unchecked decode stage: error is a packed projection error word
+    inside a case's budget, erasures that case's erasure_nibbles (0xF at
+    each erasure column) and off 0 or 1.  LiftError: no rewrite within
+    RADIUS flips.
     """
-    erasures = case.erasure_nibbles
     f0, f1, f2 = _FLIP_BYTES
     flips = f0[error & 0xFF] ^ f1[(error >> 8) & 0xFF] ^ f2[error >> 16] ^ erasures & TOP_ROW_MASK
-    if ((v ^ flips) & TOP_ROW_MASK).bit_count() & 1 != top_row_parity:
+    if (flips & TOP_ROW_MASK).bit_count() & 1 != off:
         swap = flips & ~erasures or erasures  # the two-flip columns, else the erasures
         if not swap:
             raise LiftError("top-row parity off with no column to rewrite")
-        flips ^= 0xF << ((swap.bit_length() - 1) & ~3)  # the first such column: v's highest
+        flips ^= 0xF << ((swap.bit_length() - 1) & ~3)  # the first such column, the highest
     count = flips.bit_count()
     if count > RADIUS:
         raise LiftError(f"{count} flips needed, budget is {RADIUS}")
-    return v ^ flips
+    return flips
 
 
 def format_array_text(v: int) -> str:

@@ -174,6 +174,17 @@ def test_verbose_oracle_failure(capsys):
     assert out == _as_oracle(repr_out)
 
 
+def test_verbose_transcript_of_a_word_with_no_case(capsys):
+    # Columns 1-4 odd under an even majority: four minority columns.
+    v = word_str(parse_array_text("1111000000\n0000000000\n0000000000\n0000000000"))
+    for algo in ("repr", "synd", "oracle"):
+        code, out, _ = run(capsys, "decode", v, "--algorithm", algo, "--verbose")
+        assert code == cli.EXIT_FAILURE
+        lines = out.splitlines()
+        assert "case: none (four or more minority columns)" in lines
+        assert lines[-1] == "decoded: more than three errors occurred"
+
+
 def test_oracle_failure_shares_no_decoder_outcome(monkeypatch):
     # The decoders share one declared failure per (algorithm, case), 2 x
     # 353; the oracle's failure is an outcome of its own.
@@ -290,6 +301,16 @@ def test_fuzz_weight_zero_all_clean(capsys):
     )
     assert code == 0
     assert "corrected: 200  declared failures: 0  mismatches: 0" in out
+
+
+def test_fuzz_counts_a_disagreement(capsys, monkeypatch):
+    # A representation decoder that declares every word a failure
+    # disagrees with the other two on every codeword.
+    monkeypatch.setattr(cli.dc, "represent_decode",
+                        lambda v, code="DE": dc._failure("representation", dc.classify_case(v)))
+    code, out, _ = run(capsys, "fuzz", "--trials", "50", "--seed", "1", "--max-weight", "0")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert "corrected: 0  declared failures: 0  mismatches: 50" in out.splitlines()
 
 
 def test_fuzz_bad_trials(capsys):

@@ -199,6 +199,9 @@ def test_matrix_text_roundtrip():
 
 def test_rank_deficient_matrix_rejected():
     rows = printed_de_matrix().rows
+    for count in (19, 21):
+        with pytest.raises(ValueError, match=f"expected 20 rows, got {count}"):
+            BinaryGeneratorMatrix("bad", (rows * 2)[:count])
     with pytest.raises(ValueError):
         BinaryGeneratorMatrix("bad", rows[:19] + (rows[0] ^ rows[1],))
     for bad in (1 << 40, -5, True, 1.0):

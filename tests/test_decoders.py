@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from sd40 import cli, gf4, projection, quaternary
 from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.gf4 import ALPHABET, CONJ, MUL, format_symbols, parse_symbols, xor_span
 from sd40.oracle import indexed_decode
-from sd40.projection import (N_COLS, LiftError, format_array_text, has_projection_e,
-                             has_projection_o, lift, parity_profile, parse_array_text, proj_bits)
+from sd40.projection import (N_COLS, TOP_ROW_MASK, LiftError, format_array_text,
+                             has_projection_e, has_projection_o, lift, parity_profile,
+                             parse_array_text, proj_bits)
 from sd40.quaternary import classify_type, e10_matrix
 
 # The four worked examples: received array, corrected projection,
@@ -373,20 +375,21 @@ def test_case_table_is_invariant_under_complementing_the_parities():
 
 
 def _lift_flips(v, error, case, top_row_parity):
-    """The flip mask lift writes into v, or its LiftError text."""
+    """The flip mask lift gives v for the error word, case's erasures and
+    the top-row parity wanted, or its LiftError text."""
     try:
-        return lift(v, error, case, top_row_parity) ^ v
+        off = (v & TOP_ROW_MASK).bit_count() & 1 ^ top_row_parity
+        return lift(error, case.erasure_nibbles, off)
     except LiftError as exc:
         return str(exc)
 
 
 def test_lift_flips_move_with_a_translating_column():
-    # Exhaustive check of the sd40.decoders docstring sentence: "The lift's
-    # flips depend on the error word, the erasure set and v's top-row
-    # parity alone."  Column 1 of v holds any nibble and the others 0000 or
-    # 0001.  A translating word holds any t in column 1 and a column of t's
-    # parity in the others, so the erasure set stays put, and the top-row
-    # parity it wants moves by t's top bit, as v's does.
+    # Exhaustive check of the sd40.decoders docstring sentence: "So off and
+    # the lift's answer stay put."  Column 1 of v holds any nibble and the
+    # others 0000 or 0001.  A translating word holds any t in column 1 and a
+    # column of t's parity in the others, so the erasure set stays put, and
+    # the top-row parity it wants moves by t's top bit, as v's does.
     others = int("0001" * (N_COLS - 1), 2)
     for nibble, t, symbol, parity, top in itertools.product(
             range(16), range(16), range(4), (0, 1), (0, 1)):
@@ -440,7 +443,7 @@ def test_bad_arguments():
 
 
 @pytest.mark.parametrize("v", [1 << 40, -1, (1 << 40) + 5, -(1 << 40), True, 1.0])
-def test_received_word_domain(v, de_oracle):
+def test_received_word_domain(v, de_oracle, de_matrix):
     # Only the five low bytes reach the table lookups; the rest must not
     # be dropped silently.  The public stages reject such words as the
     # decoders do: read by their low 40 bits, 2^40 and -2^40 are the zero
@@ -456,7 +459,7 @@ def test_received_word_domain(v, de_oracle):
     with pytest.raises(ValueError, match="40-bit"):
         indexed_decode(v, de_oracle)
     e10_words = quaternary.e10_table().word_set
-    stages = [dc.classify_case, parity_profile, format_array_text,
+    stages = [dc.classify_case, parity_profile, format_array_text, de_matrix.contains,
               lambda w: has_projection_o(w, e10_words), lambda w: has_projection_e(w, e10_words)]
     for stage in stages:
         with pytest.raises(ValueError, match="40-bit"):
@@ -723,6 +726,44 @@ def test_declared_failures_share_one_outcome_per_case(algorithm):
         if not expect_ok:
             out = decode(_corrupt(cw, pattern))
             assert out is dc._failure(algorithm, out.case)
+
+
+def test_decoders_agree_across_threads():
+    # The README's concurrency sentence.  Four threads decode one word list
+    # on cold caches, each in its own order of decoder and code, and get
+    # the verdicts and flip masks of a single-threaded run.  _failure's
+    # miss path takes no lock, so two threads may each build an equal
+    # failure for one key: the outcomes are compared by value only.
+    rng = random.Random(67)
+    words = [rng.getrandbits(40) for _ in range(200)]
+    for matrix in (printed_de_matrix(), printed_se_matrix()):
+        for _ in range(200):
+            flips = sum(1 << pos for pos in rng.sample(range(40), rng.randint(0, 4)))
+            words.append(matrix.encode(rng.getrandbits(20)) ^ flips)
+    jobs = [(decode, code) for decode in _decoders() for code in ("DE", "SE")]
+
+    def verdicts(order):
+        return {(decode.__name__, code): [(out.ok, out.flips) for out in
+                                          (decode(v, code) for v in words)]
+                for decode, code in order}
+
+    want = verdicts(jobs)
+    assert {ok for outs in want.values() for ok, _ in outs} == {False, True}
+    for cached in vars(dc).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    start, got = threading.Barrier(4, timeout=60), [None] * 4
+
+    def worker(k):
+        start.wait()
+        got[k] = verdicts(jobs[k:] + jobs[:k])
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == [want] * 4
 
 
 def test_flipped_bits_reads_any_mask_in_bounded_time():

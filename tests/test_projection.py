@@ -81,9 +81,15 @@ def test_byte_tables_match_column_definitions():
             assert _PARITY_BYTES[k][b] == parities
 
 
+def _lift_word(v, error, case, top_row_parity):
+    """The word lift rewrites v into: v ^ its flips for the error word,
+    case's erasures and the top-row parity wanted."""
+    return v ^ lift(error, case.erasure_nibbles, _top_row_parity(v) ^ top_row_parity)
+
+
 def _lift_to(v, target, top_row_parity):
-    """lift with the error word that takes v's projection to target."""
-    return lift(v, proj_bits(v) ^ target, classify_case(v), top_row_parity)
+    """_lift_word with the error word that takes v's projection to target."""
+    return _lift_word(v, proj_bits(v) ^ target, classify_case(v), top_row_parity)
 
 
 def test_lift_tie_rules():
@@ -138,10 +144,10 @@ def test_lift_flips_of_one_column(col):
         if out >> 3 != top:
             if not erasure and s == 0:
                 with pytest.raises(LiftError, match="no column to rewrite"):
-                    lift(v, error, case, top)
+                    _lift_word(v, error, case, top)
                 continue
             out ^= 0xF
-        word = lift(v, error, case, top)
+        word = _lift_word(v, error, case, top)
         assert word == v ^ (nibble ^ out) << shift, (nibble, s, parity, top)
         assert proj_bits(word) == proj_bits(v) ^ error
         assert parity_profile(word) == parity * 0x3FF
