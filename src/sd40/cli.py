@@ -81,8 +81,7 @@ class Transcript:
 
     def render(self) -> str:
         v, out = self.received, self.outcome
-        parities = pj.parity_profile(v)  # first: it checks v, proj_bits does not
-        y = pj.proj_bits(v)
+        parities, y = divmod(pj.read_columns(v), 1 << 20)
         lines = [
             f"algorithm: {out.algorithm}",
             f"code: {self.code}",

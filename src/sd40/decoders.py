@@ -50,12 +50,13 @@ it moves the majority parity that DE wants; under SE it is even
 (projection E), as SE wants.  So off and the lift's answer stay put, and
 (v + c) ^ flips is the codeword moved by c.
 
-A decode checks its input once: _decode the code, classify_case the
-word.  The two searches and the lift, like proj_bits, check nothing:
+A decode checks its input once: _decode the code, and its first read of
+the word.  The searches and the lift, like proj_bits, check nothing:
 they take the packed ints that _decode built.  _decode reads v for its
-case, its projection and its top-row parity, and once more to apply the
-flips; the lift, given the error word either search gives, the case's
-erasure nibbles and off, returns the flips and never sees v.  A
+parities and projection (classify_case and proj_bits, or one
+read_columns for syndrome decoding), its top-row parity, and to apply
+the flips; the lift, given the error word either search gives, the
+case's erasure nibbles and off, returns the flips and never sees v.  A
 DecodeOutcome stores four facts, the flips as the one 40-bit mask
 received ^ codeword, and derives ok, reason, the flipped bits and the
 corrected projection, which the lift writes into the codeword.  A
@@ -68,9 +69,9 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .gf4 import (InternalInvariantError, byte_tables, hermitian_inner, leader_table, packed,
-                  xor_span)
-from .projection import N_BITS, N_COLS, TOP_ROW_MASK, LiftError, lift, parity_profile, proj_bits
+from .gf4 import InternalInvariantError, byte_tables, hermitian_inner, leader_table, xor_span
+from .projection import (N_BITS, N_COLS, TOP_ROW_MASK, LiftError, lift, parity_profile, proj_bits,
+                         read_columns)
 from .quaternary import e10_matrix, e10_table
 
 FAILURE_REASON = "more than three errors occurred"
@@ -234,8 +235,10 @@ def _syndrome_bits(y: int) -> int:
 
 
 def syndrome(y: int) -> int:
-    """H conj(y)^T as a packed 5-symbol word; zero exactly on codewords."""
-    return _syndrome_bits(packed(y, N_COLS))
+    """H conj(y)^T, packed, zero exactly on codewords; ValueError: y is no 10-symbol word."""
+    if type(y) is not int or y >> 2 * N_COLS:  # y >> 20 is -1 for every negative y
+        raise ValueError(f"{y!r} is not a packed {N_COLS}-symbol word")
+    return _syndrome_bits(y)
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,15 +268,19 @@ def _failure(algorithm: str, case: CaseLabel | None) -> DecodeOutcome:
 def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
     if code not in ("DE", "SE"):
         raise ValueError(f"code must be DE or SE, got {code!r}")
-    case = classify_case(v)  # rejects v outside [0, 2^40)
-    if case is None:
-        return _failure(algorithm, None)
-    y = proj_bits(v)
     if algorithm == "representation":
+        case = classify_case(v)  # rejects v outside [0, 2^40)
+        if case is None:
+            return _failure(algorithm, None)
+        y = proj_bits(v)
         corrected = find_closest_in_e10(y, case.erasure_columns)
         error = None if corrected is None else y ^ corrected
     else:
-        error = solve_syndrome(syndrome(y), case.erasure_columns)
+        columns = read_columns(v)  # the parities and the projection; rejects v likewise
+        case = _CASES[columns >> 20]
+        if case is None:
+            return _failure(algorithm, None)
+        error = solve_syndrome(syndrome(columns & 0xFFFFF), case.erasure_columns)
     if error is None:
         return _failure(algorithm, case)
     # Projection O ties the top row to the column parity; projection E

@@ -37,32 +37,41 @@ COLUMN_PATTERNS = (
 )
 
 
-# Bit p lies in column N_COLS - p // 4, in the row labelled 3 - p % 4
-# (row 0 is the nibble's top bit): the projection adds that label to the
-# column's symbol and the parity toggles the column's bit.
-_PARITY_BYTES = byte_tables([1 << (N_COLS - 1 - p // 4) for p in range(N_BITS)])
-_PROJ_BYTES = byte_tables([(3 - p % 4) << (2 * (N_COLS - 1 - p // 4)) for p in range(N_BITS)])
+# Bit p lies in column N_COLS - p // 4, in the row labelled 3 - p % 4 (row 0
+# is the nibble's top bit): it toggles the column's parity bit, above the 20
+# projection bits, and adds that label to its symbol.  Entries stay one int digit.
+_COLUMN_BYTES = byte_tables([1 << 20 + N_COLS - 1 - p // 4
+                             | (3 - p % 4) << 2 * (N_COLS - 1 - p // 4) for p in range(N_BITS)])
 
 
 class LiftError(Exception):
     """No consistent rewrite of the array within the flip budget."""
 
 
+def read_columns(v: int) -> int:
+    """parity_profile(v) << 20 | proj_bits(v), in one read; ValueError: v is no 40-bit word."""
+    if type(v) is not int or v >> N_BITS:  # v >> N_BITS is -1 for every negative v
+        raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
+    c0, c1, c2, c3, c4 = _COLUMN_BYTES
+    return (c0[v & 0xFF] ^ c1[(v >> 8) & 0xFF] ^ c2[(v >> 16) & 0xFF]
+            ^ c3[(v >> 24) & 0xFF] ^ c4[(v >> 32) & 0xFF])
+
+
 def proj_bits(v: int) -> int:
-    """Packed projection of a 40-bit word (hot-path form).  v must lie in
-    [0, 2^40): any other int is read by its low 40 bits, silently."""
-    p0, p1, p2, p3, p4 = _PROJ_BYTES
-    return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
-            ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
+    """Packed projection of a 40-bit word, read_columns(v) & 0xFFFFF
+    unchecked: any int outside [0, 2^40) is read by its low 40 bits, silently."""
+    c0, c1, c2, c3, c4 = _COLUMN_BYTES
+    return (c0[v & 0xFF] ^ c1[(v >> 8) & 0xFF] ^ c2[(v >> 16) & 0xFF]
+            ^ c3[(v >> 24) & 0xFF] ^ c4[(v >> 32) & 0xFF]) & 0xFFFFF
 
 
 def parity_profile(v: int) -> int:
-    """Column parities of a 40-bit word; bit c-1 is 1 when column c is odd."""
+    """Column parities, read_columns(v) >> 20: bit c-1 is 1 when column c is odd."""
     if type(v) is not int or v >> N_BITS:  # v >> N_BITS is -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    p0, p1, p2, p3, p4 = _PARITY_BYTES
-    return (p0[v & 0xFF] ^ p1[(v >> 8) & 0xFF] ^ p2[(v >> 16) & 0xFF]
-            ^ p3[(v >> 24) & 0xFF] ^ p4[(v >> 32) & 0xFF])
+    c0, c1, c2, c3, c4 = _COLUMN_BYTES
+    return (c0[v & 0xFF] ^ c1[(v >> 8) & 0xFF] ^ c2[(v >> 16) & 0xFF]
+            ^ c3[(v >> 24) & 0xFF] ^ c4[(v >> 32) & 0xFF]) >> 20
 
 
 def candidates_for(value: int, parity: int) -> tuple[int, int]:
@@ -79,10 +88,10 @@ def _has_projection(v: int, code_words: frozenset[int], top_follows_columns: boo
     """Projection membership: projection in the code, uniform column
     parity, and a top-row parity equal to the column parity when
     top_follows_columns (projection O), even otherwise (projection E)."""
-    parities = parity_profile(v)
+    parities, y = divmod(read_columns(v), 1 << 20)
     top = parities & 1 if top_follows_columns else 0
     return (parities in (0, (1 << N_COLS) - 1)
-            and (v & TOP_ROW_MASK).bit_count() & 1 == top and proj_bits(v) in code_words)
+            and (v & TOP_ROW_MASK).bit_count() & 1 == top and y in code_words)
 
 
 def has_projection_o(v: int, code_words: frozenset[int]) -> bool:

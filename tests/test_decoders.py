@@ -15,12 +15,12 @@ import pytest
 import sd40
 from sd40 import decoders as dc
 from sd40 import cli, gf4, projection, quaternary
-from sd40.constructions import printed_de_matrix, printed_se_matrix
+from sd40.constructions import printed_de_matrix, printed_se_matrix, row_reduce
 from sd40.gf4 import ALPHABET, CONJ, MUL, format_symbols, parse_symbols, xor_span
 from sd40.oracle import indexed_decode
 from sd40.projection import (N_COLS, TOP_ROW_MASK, LiftError, format_array_text,
                              has_projection_e, has_projection_o, lift, parity_profile,
-                             parse_array_text, proj_bits)
+                             parse_array_text, proj_bits, read_columns)
 from sd40.quaternary import classify_type, e10_matrix
 
 # The four worked examples: received array, corrected projection,
@@ -401,6 +401,30 @@ def test_lift_flips_move_with_a_translating_column():
             nibble, t, symbol, parity, top)
 
 
+def _linear_read(v):
+    """L(v): the column parities, the syndrome of the projection and the
+    top-row parity of v, 21 bits."""
+    top = (v & TOP_ROW_MASK).bit_count() & 1
+    return parity_profile(v) << 11 | dc.syndrome(proj_bits(v)) << 1 | top
+
+
+def test_kernel_of_the_linear_read_lies_in_both_codes():
+    # L is GF(2)-linear, so the rows L(e_p) << 40 | e_p span its graph.
+    # Their reduced basis has rank L rows with a nonzero image, and the rest,
+    # below 2^40, are a basis of ker L.  A word moved by a kernel vector keeps
+    # its case, its syndrome and its top-row parity, and the kernel lies in
+    # DE and in SE.
+    rng = random.Random(16)
+    for _ in range(200):
+        u, v = rng.getrandbits(40), rng.getrandbits(40)
+        assert _linear_read(u ^ v) == _linear_read(u) ^ _linear_read(v)
+    basis = row_reduce([_linear_read(1 << p) << 40 | 1 << p for p in range(40)])
+    kernel = [row for row in basis if not row >> 40]
+    assert (len(basis) - len(kernel), len(kernel)) == (21, 19)
+    for matrix in (printed_de_matrix(), printed_se_matrix()):
+        assert all(matrix.contains(k) for k in kernel), matrix.name
+
+
 def test_each_case_label_equals_only_itself():
     # The case table builds each label once, so a label's identity is its
     # value, and _failure's cache hashes a label by its identity.
@@ -459,7 +483,7 @@ def test_received_word_domain(v, de_oracle, de_matrix):
     with pytest.raises(ValueError, match="40-bit"):
         indexed_decode(v, de_oracle)
     e10_words = quaternary.e10_table().word_set
-    stages = [dc.classify_case, parity_profile, format_array_text, de_matrix.contains,
+    stages = [dc.classify_case, parity_profile, read_columns, format_array_text, de_matrix.contains,
               lambda w: has_projection_o(w, e10_words), lambda w: has_projection_e(w, e10_words)]
     for stage in stages:
         with pytest.raises(ValueError, match="40-bit"):
@@ -478,6 +502,7 @@ from sd40.oracle import build_oracle, indexed_decode
 stage = {
     "classify_case": dc.classify_case,
     "parity_profile": pj.parity_profile,
+    "read_columns": pj.read_columns,
     "format_array_text": pj.format_array_text,
     "represent_decode": dc.represent_decode,
     "syndrome_decode": dc.syndrome_decode,
@@ -488,7 +513,7 @@ try:
 except ValueError as exc:
     print("ValueError:", exc)
 """
-DOMAIN_STAGES = ("classify_case", "parity_profile", "format_array_text",
+DOMAIN_STAGES = ("classify_case", "parity_profile", "read_columns", "format_array_text",
                  "represent_decode", "syndrome_decode", "indexed_decode")
 
 
@@ -778,8 +803,13 @@ def test_flipped_bits_reads_any_mask_in_bounded_time():
 STAGE_NAMES = {
     dc.represent_decode: ("classify_case", "parity_profile", "proj_bits",
                           "find_closest_in_e10", "lift"),
-    dc.syndrome_decode: ("classify_case", "parity_profile", "proj_bits", "syndrome",
-                         "solve_syndrome", "lift"),
+    dc.syndrome_decode: ("syndrome", "solve_syndrome", "lift"),
+}
+# What each decoder calls on a word with no case: only the representation
+# decoder reads its case through classify_case.
+NO_CASE_STAGES = {
+    dc.represent_decode: ("classify_case", "parity_profile"),
+    dc.syndrome_decode: (),
 }
 
 
@@ -803,19 +833,19 @@ def test_decoders_call_each_stage_through_the_module(monkeypatch):
             assert calls == Counter(names), (decode.__name__, code)
         calls.clear()
         assert not decode(no_case).ok
-        assert calls == Counter({"classify_case": 1, "parity_profile": 1})
+        assert calls == Counter(NO_CASE_STAGES[decode]), decode.__name__
 
 
 def test_lift_reads_neither_the_projection_nor_the_parities(monkeypatch):
-    # classify_case and proj_bits read the parities and the projection;
-    # lift takes the error word and the case from _decode instead of reading
-    # the word again.  The counters wrap the names the projection module
-    # reads through, not the ones _decode uses.
+    # classify_case and proj_bits, or read_columns, read the parities and
+    # the projection; lift takes the error word and the case from _decode
+    # instead of reading the word again.  The counters wrap the names the
+    # projection module reads through, not the ones _decode uses.
     received = [(parse_array_text(array), "DE") for array, *_ in EXAMPLES.values()]
     received += [(matrix.encode(0xABCDE) ^ 0b1011 << 9, code)
                  for code, matrix in (("DE", printed_de_matrix()), ("SE", printed_se_matrix()))]
     calls = Counter()
-    for name in ("proj_bits", "parity_profile"):
+    for name in ("proj_bits", "parity_profile", "read_columns"):
         monkeypatch.setattr(projection, name, _counting(calls, name, getattr(projection, name)))
     for v, code in received:
         for decode in _decoders():
@@ -823,7 +853,7 @@ def test_lift_reads_neither_the_projection_nor_the_parities(monkeypatch):
             assert out.ok and out.flipped_bits
     assert calls == Counter()
     assert has_projection_o(0, frozenset({0}))  # the counters do see a read
-    assert calls == Counter({"proj_bits": 1, "parity_profile": 1})
+    assert calls == Counter({"read_columns": 1})
 
 
 def test_every_traced_stage_is_a_decode_stage():

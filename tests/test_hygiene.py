@@ -221,10 +221,13 @@ def test_stage_check_sees_a_caller(tmp_path):
         "m.py:4 solve_syndrome"]
 
 
-# _decode reads the received word v for its case, its projection and its
-# top-row parity, and once more to apply the flips; the searches and the
-# lift get only what those reads give.
-DECODE_READS_OF_V = ("classify_case(v)", "proj_bits(v)", "v & TOP_ROW_MASK", "v ^ flips")
+# _decode reads the received word v for its case and its projection
+# (through classify_case and proj_bits for the representation search, or
+# one read_columns for the syndrome search) and its top-row parity, and
+# once more to apply the flips; the searches and the lift get only what
+# those reads give.
+DECODE_READS_OF_V = ("classify_case(v)", "proj_bits(v)", "read_columns(v)", "v & TOP_ROW_MASK",
+                     "v ^ flips")
 
 
 def _reads_of_v(path):
@@ -238,7 +241,7 @@ def _reads_of_v(path):
                   if isinstance(child, ast.Name) and child.id == "v")
 
 
-def test_decode_reads_the_received_word_four_times():
+def test_decode_reads_the_received_word_only_where_listed():
     assert _reads_of_v(SRC / "decoders.py") == sorted(DECODE_READS_OF_V)
 
 
@@ -246,6 +249,7 @@ def test_read_check_sees_another_read(tmp_path):
     decoders = tmp_path / "decoders.py"
     decoders.write_text("def _decode(v, code):\n"
                         "    case, y = classify_case(v), proj_bits(v)\n"
+                        "    columns = read_columns(v)\n"
                         "    off = (v & TOP_ROW_MASK).bit_count()\n"
                         "    flips = lift(v, y, case, off)\n"
                         "    return v ^ flips\n"
@@ -443,7 +447,7 @@ def test_default_check_sees_an_unpassed_default(tmp_path):
 
 # The package pays for each feature with deletions.  A change that grows
 # src/sd40 raises this constant and says in CHANGES.md why it must.
-SRC_LINE_BUDGET = 1_552
+SRC_LINE_BUDGET = 1_567
 
 
 def test_package_stays_within_its_line_budget():

@@ -10,9 +10,8 @@ from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
 from sd40.decoders import classify_case
 from sd40.gf4 import format_symbols
 from sd40.projection import (
+    _COLUMN_BYTES,
     _MAJORITY_FLIPS,
-    _PARITY_BYTES,
-    _PROJ_BYTES,
     COLUMN_PATTERNS,
     N_COLS,
     RADIUS,
@@ -26,6 +25,7 @@ from sd40.projection import (
     parity_profile,
     parse_array_text,
     proj_bits,
+    read_columns,
 )
 from sd40.quaternary import e10_matrix
 
@@ -73,12 +73,19 @@ def test_byte_tables_match_column_definitions():
         y, parities = _column_reference(v)
         assert proj_bits(v) == y
         assert parity_profile(v) == parities
-    # Entry b of table k is the image of byte k holding b.
+    # Entry b of table k is the image of byte k holding b, the parities
+    # above the projection.
     for k in range(5):
         for b in range(256):
             y, parities = _column_reference(b << 8 * k)
-            assert _PROJ_BYTES[k][b] == y
-            assert _PARITY_BYTES[k][b] == parities
+            assert _COLUMN_BYTES[k][b] == parities << 20 | y
+
+
+def test_read_columns_is_the_parities_above_the_projection():
+    rng = random.Random(31)
+    words = [0, (1 << 40) - 1] + [1 << p for p in range(40)]
+    for v in words + [rng.getrandbits(40) for _ in range(2_000)]:
+        assert read_columns(v) == parity_profile(v) << 20 | proj_bits(v)
 
 
 def _lift_word(v, error, case, top_row_parity):
