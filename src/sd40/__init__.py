@@ -5,8 +5,6 @@ from .constructions import (
     BinaryGeneratorMatrix,
     CertificationReport,
     binmap,
-    c40_de,
-    c40_se,
     certify,
     printed_de_matrix,
     printed_se_matrix,

@@ -7,7 +7,9 @@ string.  Coordinates 4i-3..4i form column i of the 4x10 array view.
 The lift sends each GF(4) symbol to four bits (0 -> 0000, 1 -> 0011,
 w -> 0101, W -> 0110) and adjoins generators of the even-weight subcode
 of ten repeated [4,1,4] blocks plus one glue vector: e_B for the
-doubly-even construction, e_C for the singly-even one.
+doubly-even construction, e_C for the singly-even one.  The lifts of E10
+are the generator matrices the paper prints, row for row: the ten images,
+block 1 paired with blocks 2..10, then the glue vector.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import functools
 from dataclasses import dataclass
 
 from .gf4 import packed, xor_span
-from .projection import N_BITS, N_COLS, parse_bit_rows
+from .projection import N_BITS, N_COLS, TOP_ROW_MASK, parse_bit_rows
 from .quaternary import QuaternaryGeneratorMatrix, b10_matrix, e10_matrix
 
 DIMENSION = 20
@@ -42,8 +44,8 @@ def d4_block(i: int) -> int:
 
 def build_d4n0() -> tuple[int, ...]:
     """Nine generators of the weight-divisible-by-8 subcode of the ten
-    d4 blocks: adjacent double blocks i, i+1 for i = 1..9."""
-    return tuple(d4_block(i) | d4_block(i + 1) for i in range(1, N_COLS))
+    d4 blocks: block 1 paired with block j for j = 2..10."""
+    return tuple(d4_block(1) | d4_block(j) for j in range(2, N_COLS + 1))
 
 
 def build_e_b() -> int:
@@ -52,8 +54,8 @@ def build_e_b() -> int:
 
 
 def build_e_c() -> int:
-    """Glue vector 1000 repeated ten times."""
-    return int("1000" * N_COLS, 2)
+    """Glue vector 1000 repeated ten times: the array's top row."""
+    return TOP_ROW_MASK
 
 
 def row_reduce(rows) -> tuple[int, ...]:
@@ -185,37 +187,6 @@ def certify(matrix: BinaryGeneratorMatrix) -> CertificationReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# The generator matrices exactly as printed, used for encoding and as the
-# reference for span-equality checks.  Rows 1..10 are the binary images of
-# the quaternary basis rows, rows 11..19 pair block 1 with blocks 2..10,
-# row 20 is the glue vector.
-# ---------------------------------------------------------------------------
-
-_PRINTED_DE_ROWS = (
-    "0011001100110011000000000000000000000000",
-    "0000000000110011001100110000000000000000",
-    "0000000000000000001100110011001100000000",
-    "0000000000000000000000000011001100110011",
-    "0011000000110000001100000011000001010110",
-    "0101010101010101000000000000000000000000",
-    "0000000001010101010101010000000000000000",
-    "0000000000000000010101010101010100000000",
-    "0000000000000000000000000101010101010101",
-    "0101000001010000010100000101000001100011",
-    "1111111100000000000000000000000000000000",
-    "1111000011110000000000000000000000000000",
-    "1111000000001111000000000000000000000000",
-    "1111000000000000111100000000000000000000",
-    "1111000000000000000011110000000000000000",
-    "1111000000000000000000001111000000000000",
-    "1111000000000000000000000000111100000000",
-    "1111000000000000000000000000000011110000",
-    "1111000000000000000000000000000000001111",
-    "1000100010001000100010001000100010000111",
-)
-
-
 def parse_matrix_text(text: str) -> tuple[int, ...]:
     """Parse 20 lines of 40 characters over {0,1}."""
     return parse_bit_rows(text, DIMENSION, N_BITS)
@@ -223,32 +194,16 @@ def parse_matrix_text(text: str) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def printed_de_matrix() -> BinaryGeneratorMatrix:
-    """The doubly-even generator matrix as printed (built from E10)."""
-    return BinaryGeneratorMatrix("C40,1-DE", tuple(int(r, 2) for r in _PRINTED_DE_ROWS))
-
-
-@functools.lru_cache(maxsize=None)
-def printed_se_matrix() -> BinaryGeneratorMatrix:
-    """The singly-even variant: same rows with the glue row replaced by e_C."""
-    rows = tuple(int(r, 2) for r in _PRINTED_DE_ROWS[:-1]) + (build_e_c(),)
-    return BinaryGeneratorMatrix("C40,1-SE", rows)
-
-
-@functools.lru_cache(maxsize=None)
-def c40_de() -> BinaryGeneratorMatrix:
+    """The doubly-even generator matrix the paper prints, row for row: rho_B(E10)."""
     return rho_b(e10_matrix())
 
 
 @functools.lru_cache(maxsize=None)
-def c40_se() -> BinaryGeneratorMatrix:
+def printed_se_matrix() -> BinaryGeneratorMatrix:
+    """The singly-even generator matrix the paper prints, row for row: rho_C(E10)."""
     return rho_c(e10_matrix())
 
 
 @functools.lru_cache(maxsize=None)
 def c40_de_b10() -> BinaryGeneratorMatrix:
     return rho_b(b10_matrix())
-
-
-def same_span(a: BinaryGeneratorMatrix, b: BinaryGeneratorMatrix) -> bool:
-    """Equal reduced bases, since the reduced basis of a span is unique."""
-    return a.reduced == b.reduced

@@ -4,7 +4,7 @@ import operator
 import pytest
 from hypothesis import settings
 
-from sd40.constructions import c40_de, c40_se
+from sd40.constructions import printed_de_matrix, printed_se_matrix
 from sd40.oracle import build_oracle
 from sd40.quaternary import b10_table, e10_table
 
@@ -26,12 +26,12 @@ def b10():
 
 @pytest.fixture(scope="session")
 def de_matrix():
-    return c40_de()
+    return printed_de_matrix()
 
 
 @pytest.fixture(scope="session")
 def se_matrix():
-    return c40_se()
+    return printed_se_matrix()
 
 
 @pytest.fixture(scope="session")

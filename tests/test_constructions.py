@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +12,7 @@ from sd40.constructions import (
     build_d4n0,
     build_e_b,
     build_e_c,
-    c40_de,
     c40_de_b10,
-    c40_se,
     certify,
     d4_block,
     e10_matrix,
@@ -23,9 +23,10 @@ from sd40.constructions import (
     rho_b,
     rho_c,
     row_reduce,
-    same_span,
 )
 from sd40.gf4 import format_symbols, parse_symbols
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 DE_DISTRIBUTION = {
     0: 1, 8: 285, 12: 21280, 16: 239970, 20: 525504,
@@ -54,6 +55,7 @@ def test_d4n0_generators():
     gens = build_d4n0()
     assert len(gens) == 9
     assert format(gens[0], "040b") == "1" * 8 + "0" * 32
+    assert format(gens[8], "040b") == "1" * 4 + "0" * 32 + "1" * 4  # blocks 1 and 10
     span = {0}
     for g in gens:
         span |= {w ^ g for w in span}
@@ -96,15 +98,15 @@ def test_row_reduce_is_the_reduced_basis_of_the_span(rows, rnd):
     assert row_reduce(shuffled) == basis
 
 
+def _printed_rows(code):
+    """The generator matrix the paper prints, as the fixture holds its text."""
+    return parse_matrix_text((FIXTURES / f"g40_{code}.txt").read_text())
+
+
 def test_rho_b_is_the_printed_code(de_matrix):
-    assert same_span(de_matrix, printed_de_matrix())
-
-
-def test_same_span_tells_different_codes_apart():
-    # The DE and SE codes share 19 generators; rho_A(E10) holds the
-    # weight-4 blocks that the distance-8 code lacks.
-    assert not same_span(c40_de(), c40_se())
-    assert not same_span(rho_a(e10_matrix()), c40_de())
+    # Row for row: the images of E10's ten GF(2)-basis rows, block 1
+    # paired with blocks 2..10, then e_B.
+    assert de_matrix.rows == _printed_rows("de")
 
 
 def test_a_lift_is_reduced_once(monkeypatch):
@@ -116,11 +118,13 @@ def test_a_lift_is_reduced_once(monkeypatch):
     assert lifted.reduced == row_reduce(lifted.rows)
     # The generator rows are kept in construction order: the images of
     # E10's ten GF(2)-basis rows come first.
-    assert c40_de().rows[:10] == tuple(binmap(r) for r in e10_matrix().rows)
+    assert lifted.rows[:10] == tuple(binmap(r) for r in e10_matrix().rows)
 
 
 def test_rho_c_is_the_printed_se_code(se_matrix):
-    assert same_span(se_matrix, printed_se_matrix())
+    # The DE rows with e_C in place of e_B.
+    assert se_matrix.rows == _printed_rows("se")
+    assert rho_c(e10_matrix()).rows == _printed_rows("se")
 
 
 def test_lifts_are_self_dual():

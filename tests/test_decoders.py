@@ -425,6 +425,35 @@ def test_kernel_of_the_linear_read_lies_in_both_codes():
         assert all(matrix.contains(k) for k in kernel), matrix.name
 
 
+@pytest.mark.parametrize("code", ["DE", "SE"])
+def test_glue_row_moves_no_verdict(code):
+    # The glue row g, row 20 of the matrix, is a codeword outside ker L: it
+    # complements every column parity and keeps the syndrome 0.  Under DE
+    # its top row is odd, and the top-row parity a DE word needs follows the
+    # majority parity that g complements; under SE its top row is even, and
+    # the parity needed is always even.  So off stays put, the case keeps its
+    # erasure set, and v and v ^ g get the same verdict and flips.
+    m = printed_de_matrix() if code == "DE" else printed_se_matrix()
+    g = m.rows[19]
+    assert parity_profile(g) == 0x3FF
+    assert dc.syndrome(proj_bits(g)) == 0
+    assert (g & TOP_ROW_MASK).bit_count() & 1 == (1 if code == "DE" else 0)
+    rng = random.Random(f"glue:{code}")
+    words = [parse_array_text(array) for array, *_ in EXAMPLES.values()]
+    for _ in range(200):
+        v = m.encode(rng.getrandbits(20))
+        for pos in rng.sample(range(40), rng.randint(0, 5)):
+            v ^= 1 << pos
+        words.append(v)
+    verdicts = set()
+    for v in words:
+        for decode in _decoders():
+            a, b = decode(v, code), decode(v ^ g, code)
+            assert (a.ok, a.flips) == (b.ok, b.flips), hex(v)
+            verdicts.add(a.ok)
+    assert verdicts == {True, False}
+
+
 def test_each_case_label_equals_only_itself():
     # The case table builds each label once, so a label's identity is its
     # value, and _failure's cache hashes a label by its identity.
@@ -497,7 +526,7 @@ def test_received_word_domain(v, de_oracle, de_matrix):
 _DOMAIN_PROBE = """\
 import sys
 from sd40 import decoders as dc, projection as pj
-from sd40.constructions import c40_de
+from sd40.constructions import printed_de_matrix
 from sd40.oracle import build_oracle, indexed_decode
 stage = {
     "classify_case": dc.classify_case,
@@ -506,7 +535,7 @@ stage = {
     "format_array_text": pj.format_array_text,
     "represent_decode": dc.represent_decode,
     "syndrome_decode": dc.syndrome_decode,
-    "indexed_decode": lambda v: indexed_decode(v, build_oracle(c40_de())),
+    "indexed_decode": lambda v: indexed_decode(v, build_oracle(printed_de_matrix())),
 }[sys.argv[1]]
 try:
     stage(int(sys.argv[2]))

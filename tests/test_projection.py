@@ -248,7 +248,7 @@ def test_column_patterns_are_proj_fibers():
 
 def test_projection_o_membership(e10, de_matrix, de_oracle, span_entry):
     words = e10.word_set
-    for row in de_matrix.rows + printed_de_matrix().rows:
+    for row in de_matrix.rows:
         assert has_projection_o(row, words)
     assert has_projection_o(build_e_b(), words)
     assert not has_projection_e(build_e_b(), words)

@@ -6,7 +6,7 @@ import pytest
 
 from sd40 import decoders as dc
 from sd40 import oracle, quaternary
-from sd40.constructions import c40_de
+from sd40.constructions import printed_de_matrix
 from sd40.oracle import build_oracle
 from sd40.quaternary import b10_table, e10_table, orbit, orbit_census, orbit_lookup
 
@@ -33,11 +33,11 @@ def _probes_per_case():
 
 
 def _coset_leaders():
-    return [len(build_oracle(c40_de()).leader_index)]
+    return [len(build_oracle(printed_de_matrix()).leader_index)]
 
 
 def _near_codewords():
-    return [len(build_oracle(c40_de())._near_codewords)]
+    return [len(build_oracle(printed_de_matrix())._near_codewords)]
 
 
 def _shared_failures():
