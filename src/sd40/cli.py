@@ -129,7 +129,8 @@ def _array_block(v: int, y: int, label: str) -> list[str]:
 def _oracle_decode(v: int, code: str) -> dc.DecodeOutcome:
     """The coset-leader oracle's verdict as an outcome of the parity case."""
     cw = oc.indexed_decode(v, _oracle_for(code))
-    return dc.DecodeOutcome("oracle", cw, 0 if cw is None else v ^ cw, dc.classify_case(v))
+    return dc.DecodeOutcome(algorithm="oracle", codeword=cw, flips=0 if cw is None else v ^ cw,
+                            case=dc.classify_case(v))
 
 
 def _decoders() -> dict:

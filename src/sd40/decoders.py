@@ -59,8 +59,11 @@ the flips; the lift, given the error word either search gives, the
 case's erasure nibbles and off, returns the flips and never sees v.  A
 DecodeOutcome stores four facts, the flips as the one 40-bit mask
 received ^ codeword, and derives ok, reason, the flipped bits and the
-corrected projection, which the lift writes into the codeword.  A
-declared failure is one shared outcome per (algorithm, case), 2 x 353.
+corrected projection, which the lift writes into the codeword.  It is a
+frozen dataclass over SimpleNamespace, whose C __init__ writes the four
+fields, by keyword, in one call; equality, hashing, repr and replace are
+the dataclass's.  A declared failure is one shared outcome per
+(algorithm, case), 2 x 353.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .gf4 import InternalInvariantError, byte_tables, hermitian_inner, leader_table, xor_span
 from .projection import (N_BITS, N_COLS, TOP_ROW_MASK, LiftError, lift, parity_profile, proj_bits,
@@ -119,20 +123,14 @@ def classify_case(v: int) -> CaseLabel | None:
     return _CASES[parity_profile(v)]
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
+@dataclass(frozen=True, init=False)
+class DecodeOutcome(SimpleNamespace):
     """Either a corrected codeword with its diagnosis, or a declared failure."""
 
     algorithm: str
     codeword: int | None
     flips: int  # received ^ codeword, 0 for a declared failure
     case: CaseLabel | None
-
-    def __init__(self, algorithm: str, codeword: int | None, flips: int,
-                 case: CaseLabel | None) -> None:
-        # One write, not the generated __init__'s four object.__setattr__ calls.
-        object.__setattr__(self, "__dict__", {"algorithm": algorithm, "codeword": codeword,
-                                              "flips": flips, "case": case})
 
     @property
     def ok(self) -> bool:
@@ -228,23 +226,18 @@ def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
                         for c in range(N_COLS) for val in (1, 2)])
 
 
-def _syndrome_bits(y: int) -> int:
-    """Packed syndrome of a packed projection."""
-    s0, s1, s2 = _syndrome_bytes()
-    return s0[y & 0xFF] ^ s1[(y >> 8) & 0xFF] ^ s2[y >> 16]
-
-
 def syndrome(y: int) -> int:
     """H conj(y)^T, packed, zero exactly on codewords; ValueError: y is no 10-symbol word."""
     if type(y) is not int or y >> 2 * N_COLS:  # y >> 20 is -1 for every negative y
         raise ValueError(f"{y!r} is not a packed {N_COLS}-symbol word")
-    return _syndrome_bits(y)
+    s0, s1, s2 = _syndrome_bytes()
+    return s0[y & 0xFF] ^ s1[(y >> 8) & 0xFF] ^ s2[y >> 16]
 
 
 @functools.lru_cache(maxsize=None)
 def _syndrome_table(*erasures: int) -> dict[int, int]:
     """Packed syndrome -> the packed error word inside the budget that has it."""
-    return leader_table(_budget_patterns(*erasures), _syndrome_bits)
+    return leader_table(_budget_patterns(*erasures), syndrome)
 
 
 def solve_syndrome(s: int, erasures: tuple[int, ...]) -> int | None:
@@ -262,7 +255,7 @@ def solve_syndrome(s: int, erasures: tuple[int, ...]) -> int | None:
 @functools.lru_cache(maxsize=None)
 def _failure(algorithm: str, case: CaseLabel | None) -> DecodeOutcome:
     """The shared declared-failure outcome of an algorithm and case."""
-    return DecodeOutcome(algorithm, None, 0, case)
+    return DecodeOutcome(algorithm=algorithm, codeword=None, flips=0, case=case)
 
 
 def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
@@ -290,7 +283,7 @@ def _decode(v: int, algorithm: str, code: str) -> DecodeOutcome:
         flips = lift(error, case.erasure_nibbles, off)
     except LiftError:
         return _failure(algorithm, case)
-    return DecodeOutcome(algorithm, v ^ flips, flips, case)
+    return DecodeOutcome(algorithm=algorithm, codeword=v ^ flips, flips=flips, case=case)
 
 
 def represent_decode(v: int, code: str = "DE", members: None = None) -> DecodeOutcome:

@@ -104,5 +104,7 @@ def indexed_decode(v: int, table: OracleTable) -> int | None:
     """Search-equivalent fast path via the weight-<=3 coset-leader index."""
     if type(v) is not int or v >> N_BITS:  # v >> N_BITS is -1 for every negative v
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
-    e = table.leader_index.get(table._syndrome(v))
+    s0, s1, s2, s3, s4 = table._syndrome_bytes
+    e = table.leader_index.get(s0[v & 0xFF] ^ s1[(v >> 8) & 0xFF] ^ s2[(v >> 16) & 0xFF]
+                               ^ s3[(v >> 24) & 0xFF] ^ s4[v >> 32])
     return None if e is None else v ^ e

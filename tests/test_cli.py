@@ -191,7 +191,8 @@ def test_oracle_failure_shares_no_decoder_outcome(monkeypatch):
     calls = []
     monkeypatch.setattr(dc, "_failure", lambda *args: calls.append(args))
     v = printed_de_matrix().encode(0xBEEF5) ^ d4_block(4)
-    assert cli._oracle_decode(v, "DE") == dc.DecodeOutcome("oracle", None, 0, dc.classify_case(v))
+    assert cli._oracle_decode(v, "DE") == dc.DecodeOutcome(
+        algorithm="oracle", codeword=None, flips=0, case=dc.classify_case(v))
     assert calls == []
 
 

@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -673,11 +674,11 @@ def test_punctured_indexes_and_probe_lists():
 
 
 @pytest.mark.sweep
-def test_representation_probes_over_every_coset(monkeypatch, de_oracle):
+def test_representation_probes_over_every_coset(monkeypatch, de_oracle, se_oracle):
     # The work of the representation search on one word of each of the 2^20
-    # DE syndrome cosets, counted as membership tests in its E10 indexes.
-    # Every index is swapped for a copy that counts them, so the count is
-    # the real search's.
+    # syndrome cosets of each code, counted as membership tests in its E10
+    # indexes.  Every index is swapped for a copy that counts them, so the
+    # count is the real search's.
     probes = [0]
 
     class CountingIndex(dict):
@@ -688,19 +689,24 @@ def test_representation_probes_over_every_coset(monkeypatch, de_oracle):
     index = dc._e10_index
     monkeypatch.setattr(dc, "_e10_index", lambda keep: CountingIndex(index(keep)))
     dc._probes.cache_clear()
-    calls, by_case = Counter(), Counter()
+    counted = {}
     try:
-        for v in _coset_words(de_oracle):
-            before = probes[0]
-            case = dc.represent_decode(v).case
-            calls[case and case.case_id] += 1
-            by_case[case and case.case_id] += probes[0] - before
+        for code, table in (("DE", de_oracle), ("SE", se_oracle)):
+            calls, by_case = Counter(), Counter()
+            for v in _coset_words(table):
+                before = probes[0]
+                case = dc.represent_decode(v, code).case
+                calls[case and case.case_id] += 1
+                by_case[case and case.case_id] += probes[0] - before
+            counted[code] = calls, by_case
     finally:
         dc._probes.cache_clear()
-    assert probes[0] == sum(by_case.values()) == 4_789_198
-    assert calls == {None: 688_128, "IV": 245_760, "III": 92_160, "II": 20_480, "I": 2_048}
-    # Per case, at most 31, 28, 4 and 16 probes a call.
-    assert by_case == {None: 0, "IV": 3_816_960, "III": 366_480, "II": 543_200, "I": 62_558}
+    assert probes[0] == 2 * 4_789_198
+    # Per case, at most 31, 28, 4 and 16 probes a call.  The search reads
+    # only the case and the projection, and SE's cosets give DE's counts.
+    calls = {None: 688_128, "IV": 245_760, "III": 92_160, "II": 20_480, "I": 2_048}
+    by_case = {None: 0, "IV": 3_816_960, "III": 366_480, "II": 543_200, "I": 62_558}
+    assert counted == {"DE": (calls, by_case), "SE": (calls, by_case)}
 
 
 def test_represent_decode_reads_only_e10():
@@ -769,7 +775,8 @@ def test_declared_failures_share_one_outcome_per_case(algorithm):
     labels = [c for c in dc._CASES if c is not None]
     assert len(set(labels)) == 352
     for case in [None, *labels]:
-        shared, built = dc._failure(algorithm, case), dc.DecodeOutcome(algorithm, None, 0, case)
+        shared = dc._failure(algorithm, case)
+        built = dc.DecodeOutcome(algorithm=algorithm, codeword=None, flips=0, case=case)
         assert shared == built
         assert (built.ok, built.flipped_bits, built.corrected_projection, built.reason) == (
             False, (), None, dc.FAILURE_REASON)
@@ -823,7 +830,32 @@ def test_decoders_agree_across_threads():
 def test_flipped_bits_reads_any_mask_in_bounded_time():
     # The property reads 40 bit positions, so even a negative mask (all
     # ones to the left) gives a tuple instead of looping forever.
-    assert dc.DecodeOutcome("x", None, -1, None).flipped_bits == tuple(range(1, 41))
+    outcome = dc.DecodeOutcome(algorithm="x", codeword=None, flips=-1, case=None)
+    assert outcome.flipped_bits == tuple(range(1, 41))
+
+
+def test_outcome_contract():
+    # DecodeOutcome is a frozen dataclass over SimpleNamespace, whose C
+    # __init__ takes the four fields by keyword; equality, hashing, repr,
+    # the frozen fields and dataclasses.replace are the dataclass's own.
+    cw = printed_de_matrix().encode(CASE_TABLE_MESSAGE)
+    outcomes = [decode(cw ^ 0b1001 << 20) for decode in _decoders()]
+    outcomes.append(cli._oracle_decode(cw ^ 0b1001 << 20, "DE"))
+    for out in outcomes:
+        assert out.ok and out.flips == 0b1001 << 20
+        fields = {name: getattr(out, name) for name in ("algorithm", "codeword", "flips", "case")}
+        assert [f.name for f in dataclasses.fields(out)] == list(fields)
+        built = dc.DecodeOutcome(**fields)
+        assert built == out and hash(built) == hash(out) and repr(built) == repr(out)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out.flips = 0
+        # The benchmark's gate test builds a wrong outcome this way.
+        wrong = dataclasses.replace(out, codeword=out.codeword ^ 1)
+        assert type(wrong) is dc.DecodeOutcome and wrong != out
+        assert (wrong.algorithm, wrong.flips, wrong.case) == (out.algorithm, out.flips, out.case)
+        assert copy.copy(out) == out
+        with pytest.raises(TypeError):
+            dc.DecodeOutcome(*fields.values())
 
 
 # The stages _decode looks up in the module namespace on every call, per
