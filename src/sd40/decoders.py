@@ -95,6 +95,9 @@ class CaseLabel:
         k = len(self.erasure_columns)
         return f"[{N_COLS - k}; {k}]"
 
+    def __reduce__(self) -> tuple:  # pickle and deepcopy give back the table's own label
+        return _case_label, (_CASES.index(self),)
+
 
 _CASE_IDS = ("I", "II", "III", "IV")
 
@@ -115,6 +118,10 @@ def _case_table() -> tuple[CaseLabel | None, ...]:
 
 
 _CASES = _case_table()
+
+
+def _case_label(parities: int) -> CaseLabel | None:
+    return _CASES[parities]
 
 
 def classify_case(v: int) -> CaseLabel | None:

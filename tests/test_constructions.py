@@ -1,3 +1,5 @@
+import random
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,7 @@ from sd40.constructions import (
     rho_c,
     row_reduce,
 )
-from sd40.gf4 import format_symbols, parse_symbols
+from sd40.gf4 import format_symbols, parse_symbols, xor_span
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -221,3 +223,28 @@ def test_non_self_dual_matrix_flagged():
     assert not report.self_dual
     assert report.parity_type == "odd"
     assert report.minimum_distance == 1
+
+
+def _count_weights(matrix):
+    # One codeword per iteration, over the given rows rather than the
+    # reduced basis: the reference that certify's byte lanes must match.
+    counts = [0] * 41
+    for h in xor_span(matrix.rows[10:]):
+        for w in xor_span(matrix.rows[:10]):
+            counts[(h ^ w).bit_count()] += 1
+    return {w: c for w, c in enumerate(counts) if c}
+
+
+def test_certify_weights_of_the_identity_padded_code():
+    # Every weight 0..20 occurs, odd ones included, once per subset of rows.
+    m = BinaryGeneratorMatrix("identity-padded", tuple(1 << (39 - i) for i in range(20)))
+    assert certify(m).weight_distribution == {w: comb(20, w) for w in range(21)}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_certify_weights_match_a_per_codeword_count(seed):
+    rng = random.Random(seed)
+    m = BinaryGeneratorMatrix(f"random-{seed}", tuple(rng.getrandbits(40) for _ in range(20)))
+    report = certify(m)
+    assert report.weight_distribution == _count_weights(m)
+    assert report.parity_type == "odd" and sum(report.weight_distribution.values()) == 1 << 20

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -856,6 +857,21 @@ def test_outcome_contract():
         assert copy.copy(out) == out
         with pytest.raises(TypeError):
             dc.DecodeOutcome(*fields.values())
+    # pickle and deepcopy give back the case table's own label (CaseLabel is
+    # equal only to itself), so an outcome survives both: one per case, a
+    # declared failure with a case (two flips in each of columns 1 and 2) and
+    # one without.
+    flips = (0, 1 << 39, 1 << 39 | 1 << 35, 1 << 39 | 1 << 35 | 1 << 31,
+             0b11 << 36 | 0b11 << 32, 1 << 39 | 1 << 35 | 1 << 31 | 1 << 27)
+    outcomes += [decode(cw ^ f) for decode in _decoders() for f in flips]
+    assert {out.case.case_id for out in outcomes if out.case} == {"I", "II", "III", "IV"}
+    assert {(out.ok, out.case is None) for out in outcomes} == {
+        (True, False), (False, False), (False, True)}
+    for out in outcomes:
+        for twin in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+            assert twin == out and hash(twin) == hash(out) and twin.case is out.case
+    for label in filter(None, dc._CASES):
+        assert pickle.loads(pickle.dumps(label)) is label and copy.deepcopy(label) is label
 
 
 # The stages _decode looks up in the module namespace on every call, per

@@ -492,7 +492,7 @@ def test_default_check_sees_an_unpassed_default(tmp_path):
 
 # The package pays for each feature with deletions.  A change that grows
 # src/sd40 raises this constant and says in CHANGES.md why it must.
-SRC_LINE_BUDGET = 1_516
+SRC_LINE_BUDGET = 1_533
 
 
 def test_package_stays_within_its_line_budget():
