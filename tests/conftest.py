@@ -50,3 +50,12 @@ def span_entry():
     reads it: the XOR of the rows at the set bits of i."""
     return lambda rows, i: functools.reduce(
         operator.xor, (row for j, row in enumerate(rows) if i >> j & 1), 0)
+
+
+def pytest_collection_modifyitems(items):
+    """Only sweep tests may read test_decoders' exhaustive coset pass, so
+    `pytest -m "not sweep"` never builds it."""
+    for item in items:
+        reads = "coset_pass" in getattr(item, "fixturenames", ())
+        if reads and not item.get_closest_marker("sweep"):
+            raise pytest.UsageError(f"{item.nodeid} reads coset_pass but is not marked sweep")

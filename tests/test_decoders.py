@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import pickle
 import random
@@ -11,7 +12,9 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
+import conftest
 import pytest
 
 import sd40
@@ -474,22 +477,82 @@ def _coset_words(table):
     return xor_span([1 << (row.bit_length() - 1) for row in table.rows])
 
 
+E10_INDEX = dc._e10_index  # the coset pass swaps in a counting copy
+
+
+@pytest.fixture(scope="module")
+def coset_pass(de_oracle, se_oracle):
+    """Per code: its 2^20 coset words by (case, verdict, flip count), the
+    representation search's probes by case, counted by a copy of each E10
+    index, and the first words whose syndrome is not their index or where
+    the two decoders and the coset-leader oracle disagree."""
+    probes = [0]
+
+    class CountingIndex(dict):
+        def __contains__(self, key):
+            probes[0] += 1
+            return dict.__contains__(self, key)
+
+    record = {}
+    dc._probes.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dc, "_e10_index", lambda keep: CountingIndex(E10_INDEX(keep)))
+            represent, solve = dc.represent_decode, dc.syndrome_decode
+            for code, table in (("DE", de_oracle), ("SE", se_oracle)):
+                leader, syndrome = table.leader_index.get, table._syndrome
+                words, by_case, wrong = record[code] = Counter(), Counter(), []
+                for i, v in enumerate(_coset_words(table)):
+                    before = probes[0]
+                    r, s = represent(v, code), solve(v, code)
+                    case = r.case and r.case.case_id
+                    by_case[case] += probes[0] - before
+                    words[case, r.ok, r.flips.bit_count()] += 1
+                    want = None if (e := leader(i)) is None else v ^ e
+                    if len(wrong) < 5 and (syndrome(v) != i or r.codeword != want
+                                           or s.codeword != want):
+                        wrong.append(hex(v))
+    finally:
+        dc._probes.cache_clear()
+    return record
+
+
+def test_only_sweep_tests_read_the_coset_pass():
+    item = SimpleNamespace(nodeid="t", fixturenames=["coset_pass"],
+                           get_closest_marker=lambda mark: None)
+    with pytest.raises(pytest.UsageError, match="sweep"):
+        conftest.pytest_collection_modifyitems([item])
+
+
+@pytest.mark.sweep
+def test_coset_pass_restores_the_search(coset_pass):
+    # The first reader of the pass, so no later cache_clear hides a counting
+    # copy left in the search's cache.
+    assert dc._e10_index is E10_INDEX and type(dc._probes(1)[1]) is dict
+
+
+# Each code's coset words by case, verdict and flip count; DE and SE agree.
+COSET_OUTCOMES = {
+    ("I", True, 0): 1, ("I", True, 2): 60, ("II", True, 1): 40, ("II", True, 3): 2_200,
+    ("III", True, 2): 720, ("IV", True, 3): 7_680, ("I", False, 0): 1_987,
+    ("II", False, 0): 18_240, ("III", False, 0): 91_440, ("IV", False, 0): 238_080,
+    (None, False, 0): 688_128,
+}
+
+
 @pytest.mark.sweep
 @pytest.mark.parametrize("code", ["DE", "SE"])
-def test_every_syndrome_coset_matches_the_oracle(code, de_oracle, se_oracle):
-    # With the translation invariance above, one word per coset covers all
-    # 2^40 received words.
-    table = de_oracle if code == "DE" else se_oracle
-    leaders = table.leader_index
-    correctable = 0
-    for i, v in enumerate(_coset_words(table)):
-        assert table._syndrome(v) == i
-        e = leaders.get(i)
-        want = None if e is None else v ^ e
-        r, s = dc.represent_decode(v, code), dc.syndrome_decode(v, code)
-        assert (r.codeword if r.ok else None) == (s.codeword if s.ok else None) == want, hex(v)
-        correctable += want is not None
-    assert correctable == 10_701
+def test_every_syndrome_coset_matches_the_oracle(code, coset_pass):
+    # Every coset word has the syndrome of its index, and both decoders give
+    # the oracle's verdict.  With the translation invariance above, one word
+    # per coset covers all 2^40 received words.
+    words, _, wrong = coset_pass[code]
+    assert wrong == []
+    assert sum(n for (_, ok, _), n in words.items() if ok) == 10_701
+    assert words == COSET_OUTCOMES
+    # The corrected words of w flips are the cosets of the C(40, w) leaders.
+    assert [sum(n for (_, ok, f), n in words.items() if ok and f == w) for w in range(4)] == [
+        math.comb(40, w) for w in range(4)]
 
 
 def test_bad_arguments():
@@ -500,22 +563,19 @@ def test_bad_arguments():
 @pytest.mark.parametrize("v", [1 << 40, -1, (1 << 40) + 5, -(1 << 40), True, 1.0])
 def test_received_word_domain(v, de_oracle, de_matrix):
     # Only the five low bytes reach the table lookups; the rest must not
-    # be dropped silently.  The public stages reject such words as the
-    # decoders do: read by their low 40 bits, 2^40 and -2^40 are the zero
-    # codeword, which every membership test would accept.  A bool is no
-    # word either, though True decodes as 1, and a float is refused as a
-    # word, not with the TypeError of its first shift.
-    with pytest.raises(ValueError, match="40-bit"):
-        dc.represent_decode(v)
-    with pytest.raises(ValueError, match="40-bit"):
-        dc.syndrome_decode(v)
-    with pytest.raises(ValueError, match="40-bit"):
-        dc.syndrome_decode(v, "SE")
-    with pytest.raises(ValueError, match="40-bit"):
-        indexed_decode(v, de_oracle)
-    e10_words = quaternary.e10_table().word_set
-    stages = [dc.classify_case, parity_profile, read_columns, format_array_text, de_matrix.contains,
-              lambda w: has_projection_o(w, e10_words), lambda w: has_projection_e(w, e10_words)]
+    # be dropped silently.  The stages reject such words as the decoders
+    # do: read by their low 40 bits, 2^40 and -2^40 are the zero codeword,
+    # which every membership test would accept.  A bool is no word either,
+    # though True decodes as 1, and a float is refused as a word, not with
+    # the TypeError of its first shift.  test_public_domain's table gives
+    # the exported functions 2^40, -1, True and 1.0.
+    stages = [read_columns, format_array_text, de_matrix.contains,
+              lambda w: dc.syndrome_decode(w, "SE")]
+    if v in ((1 << 40) + 5, -(1 << 40)):
+        e10_words = quaternary.e10_table().word_set
+        stages += [dc.represent_decode, dc.syndrome_decode, dc.classify_case, parity_profile,
+                   lambda w: indexed_decode(w, de_oracle), lambda w: has_projection_o(w, e10_words),
+                   lambda w: has_projection_e(w, e10_words)]
     for stage in stages:
         with pytest.raises(ValueError, match="40-bit"):
             stage(v)
@@ -675,39 +735,21 @@ def test_punctured_indexes_and_probe_lists():
 
 
 @pytest.mark.sweep
-def test_representation_probes_over_every_coset(monkeypatch, de_oracle, se_oracle):
+def test_representation_probes_over_every_coset(coset_pass):
     # The work of the representation search on one word of each of the 2^20
     # syndrome cosets of each code, counted as membership tests in its E10
-    # indexes.  Every index is swapped for a copy that counts them, so the
-    # count is the real search's.
-    probes = [0]
-
-    class CountingIndex(dict):
-        def __contains__(self, key):
-            probes[0] += 1
-            return dict.__contains__(self, key)
-
-    index = dc._e10_index
-    monkeypatch.setattr(dc, "_e10_index", lambda keep: CountingIndex(index(keep)))
-    dc._probes.cache_clear()
-    counted = {}
-    try:
-        for code, table in (("DE", de_oracle), ("SE", se_oracle)):
-            calls, by_case = Counter(), Counter()
-            for v in _coset_words(table):
-                before = probes[0]
-                case = dc.represent_decode(v, code).case
-                calls[case and case.case_id] += 1
-                by_case[case and case.case_id] += probes[0] - before
-            counted[code] = calls, by_case
-    finally:
-        dc._probes.cache_clear()
-    assert probes[0] == 2 * 4_789_198
+    # indexes by the coset pass, so the count is the real search's.
+    assert sum(sum(coset_pass[code][1].values()) for code in ("DE", "SE")) == 2 * 4_789_198
     # Per case, at most 31, 28, 4 and 16 probes a call.  The search reads
     # only the case and the projection, and SE's cosets give DE's counts.
     calls = {None: 688_128, "IV": 245_760, "III": 92_160, "II": 20_480, "I": 2_048}
     by_case = {None: 0, "IV": 3_816_960, "III": 366_480, "II": 543_200, "I": 62_558}
-    assert counted == {"DE": (calls, by_case), "SE": (calls, by_case)}
+    for code in ("DE", "SE"):
+        words, probes, _ = coset_pass[code]
+        called = Counter()
+        for (case, _, _), n in words.items():
+            called[case] += n
+        assert (called, probes) == (calls, by_case), code
 
 
 def test_represent_decode_reads_only_e10():
@@ -735,12 +777,11 @@ def test_projection_domain(y):
 # as it refuses any other non-int.  A float is no word either, even one
 # equal to an int: packed(1.0, 10) must not hand 1.0 on to the first XOR.
 # The searches and the lift are unchecked decode stages that only _decode
-# calls (see test_hygiene), so they have no rows here.
+# calls (see test_hygiene), so they have no rows here, and
+# test_public_domain's table gives each exported function 1 << 20 and 1.0.
 WRONG_LENGTH = {
-    "syndrome-11": (dc.syndrome, 1 << 20),
     # An E10 codeword with an eleventh symbol is no codeword.
     "classify_type-11": (classify_type, e10_matrix().rows[0] | 1 << 20),
-    "classify_type-int": (classify_type, 1 << 20),
     "orbit-int": (quaternary.orbit, 1 << 20),
     "orbit-negative": (quaternary.orbit, -1),
     "orbit-word": (quaternary.orbit, "0" * 10),
@@ -750,7 +791,6 @@ WRONG_LENGTH = {
     "packed-10-int": (gf4.packed, 1 << 20, 10),
     "packed-float": (gf4.packed, 1.0, 10),
     "syndrome-float": (dc.syndrome, 2.0),
-    "format_symbols-float": (gf4.format_symbols, 1.0, 10),
     "word_weight-int": (gf4.word_weight, 1 << 20, 10),
     "word_weight-negative": (gf4.word_weight, -1, 10),
     # Nor is a bool or a float a length: True == 1 and 10.0 == 10.

@@ -4,9 +4,9 @@ Every function that `sd40` exports and that takes a word is a row below,
 with the word's length: 40 for a received binary word, 10 for a packed
 GF(4) word.  Each row gets a bool, a float, a negative int, a word one bit
 or one symbol too long, and a valid word's text, and must raise a
-ValueError that names what it got.  Every other exported callable is on
-the no-word list, so a new function of a word fails the census until it
-gets its row.
+ValueError that names what it got and says "40-bit" or "symbol".  Every
+other exported callable is on the no-word list, so a new function of a
+word fails the census until it gets its row.
 """
 
 import inspect
@@ -91,6 +91,19 @@ def test_each_word_function_refuses_what_is_no_word(name):
     good, bad_words = _bad_words(n)
     call(good)  # the control: the row's other arguments are valid
     for bad in bad_words:
-        with pytest.raises(ValueError) as refused:
+        with pytest.raises(ValueError, match="40-bit" if n == 40 else "symbol") as refused:
             call(bad)
         assert str(bad) in str(refused.value), (bad, refused.value)
+
+
+# (row, word) pairs that test_decoders and test_oracle gave before this table.
+FOLDED = [(name, bad) for bad in (True, 1.0, -1, 1 << 40) for name in (
+    "represent_decode", "syndrome_decode", "indexed_decode", "oracle_decode", "classify_case",
+    "parity_profile", "has_projection_e", "has_projection_o")] + [
+    ("syndrome", 1 << 20), ("classify_type", 1 << 20), ("format_symbols", 1.0)]
+
+
+def test_folded_rows_are_in_the_table():
+    for name, word in FOLDED:
+        bad_words = _bad_words(WORD_FUNCTIONS[name][0])[1]
+        assert any(type(bad) is type(word) and bad == word for bad in bad_words), (name, word)
