@@ -777,11 +777,13 @@ def test_projection_domain(y):
 # as it refuses any other non-int.  A float is no word either, even one
 # equal to an int: packed(1.0, 10) must not hand 1.0 on to the first XOR.
 # The searches and the lift are unchecked decode stages that only _decode
-# calls (see test_hygiene), so they have no rows here, and
-# test_public_domain's table gives each exported function 1 << 20 and 1.0.
+# calls (see test_hygiene), so they have no rows here.  test_public_domain's
+# table also gives each exported function 1 << 20 and 1.0.
 WRONG_LENGTH = {
+    "syndrome-11": (dc.syndrome, 1 << 20),
     # An E10 codeword with an eleventh symbol is no codeword.
     "classify_type-11": (classify_type, e10_matrix().rows[0] | 1 << 20),
+    "classify_type-int": (classify_type, 1 << 20),
     "orbit-int": (quaternary.orbit, 1 << 20),
     "orbit-negative": (quaternary.orbit, -1),
     "orbit-word": (quaternary.orbit, "0" * 10),
@@ -791,6 +793,7 @@ WRONG_LENGTH = {
     "packed-10-int": (gf4.packed, 1 << 20, 10),
     "packed-float": (gf4.packed, 1.0, 10),
     "syndrome-float": (dc.syndrome, 2.0),
+    "format_symbols-float": (gf4.format_symbols, 1.0, 10),
     "word_weight-int": (gf4.word_weight, 1 << 20, 10),
     "word_weight-negative": (gf4.word_weight, -1, 10),
     # Nor is a bool or a float a length: True == 1 and 10.0 == 10.

@@ -96,7 +96,8 @@ def test_each_word_function_refuses_what_is_no_word(name):
         assert str(bad) in str(refused.value), (bad, refused.value)
 
 
-# (row, word) pairs that test_decoders and test_oracle gave before this table.
+# (row, word) pairs that test_decoders and test_oracle also give, so the
+# table keeps each of them should a module's own case go.
 FOLDED = [(name, bad) for bad in (True, 1.0, -1, 1 << 40) for name in (
     "represent_decode", "syndrome_decode", "indexed_decode", "oracle_decode", "classify_case",
     "parity_profile", "has_projection_e", "has_projection_o")] + [
