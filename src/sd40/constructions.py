@@ -6,8 +6,8 @@ string.  Coordinates 4i-3..4i form column i of the 4x10 array view.
 
 The lift sends each GF(4) symbol to four bits (0 -> 0000, 1 -> 0011,
 w -> 0101, W -> 0110) and adjoins generators of the even-weight subcode
-of ten repeated [4,1,4] blocks plus one glue vector: e_B for the
-doubly-even construction, e_C for the singly-even one.  The lifts of E10
+of ten repeated [4,1,4] blocks plus one glue vector: E_B for the
+doubly-even construction, E_C for the singly-even one.  The lifts of E10
 are the generator matrices the paper prints, row for row: the ten images,
 block 1 paired with blocks 2..10, then the glue vector.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .gf4 import packed, xor_span
 from .projection import N_BITS, N_COLS, TOP_ROW_MASK, parse_bit_rows
-from .quaternary import QuaternaryGeneratorMatrix, b10_matrix, e10_matrix
+from .quaternary import QuaternaryGeneratorMatrix, e10_matrix
 
 DIMENSION = 20
 
@@ -42,20 +42,11 @@ def d4_block(i: int) -> int:
     return 0xF << (4 * (N_COLS - i))
 
 
-def build_d4n0() -> tuple[int, ...]:
-    """Nine generators of the weight-divisible-by-8 subcode of the ten
-    d4 blocks: block 1 paired with block j for j = 2..10."""
-    return tuple(d4_block(1) | d4_block(j) for j in range(2, N_COLS + 1))
-
-
-def build_e_b() -> int:
-    """Glue vector 1000 repeated nine times then 0111 (length 10 = 2 mod 4)."""
-    return int("1000" * 9 + "0111", 2)
-
-
-def build_e_c() -> int:
-    """Glue vector 1000 repeated ten times: the array's top row."""
-    return TOP_ROW_MASK
+# Nine generators of the weight-divisible-by-8 subcode of the ten d4
+# blocks: block 1 paired with block j for j = 2..10.
+D4N0 = tuple(d4_block(1) | d4_block(j) for j in range(2, N_COLS + 1))
+E_B = int("1000" * 9 + "0111", 2)  # rho_B's glue vector (length 10 = 2 mod 4)
+E_C = TOP_ROW_MASK  # rho_C's glue vector, 1000 ten times: the array's top row
 
 
 def row_reduce(rows) -> tuple[int, ...]:
@@ -131,13 +122,13 @@ def rho_a(matrix: QuaternaryGeneratorMatrix) -> BinaryGeneratorMatrix:
 
 
 def rho_b(matrix: QuaternaryGeneratorMatrix) -> BinaryGeneratorMatrix:
-    """Doubly-even [40,20,8] lift: image + even-d4 subcode + e_B."""
-    return _lift(matrix, build_d4n0() + (build_e_b(),), f"rho_B({matrix.name})")
+    """Doubly-even [40,20,8] lift: image + even-d4 subcode + E_B."""
+    return _lift(matrix, D4N0 + (E_B,), f"rho_B({matrix.name})")
 
 
 def rho_c(matrix: QuaternaryGeneratorMatrix) -> BinaryGeneratorMatrix:
-    """Singly-even [40,20,8] lift: image + even-d4 subcode + e_C."""
-    return _lift(matrix, build_d4n0() + (build_e_c(),), f"rho_C({matrix.name})")
+    """Singly-even [40,20,8] lift: image + even-d4 subcode + E_C."""
+    return _lift(matrix, D4N0 + (E_C,), f"rho_C({matrix.name})")
 
 
 @dataclass(frozen=True)
@@ -212,8 +203,3 @@ def printed_de_matrix() -> BinaryGeneratorMatrix:
 def printed_se_matrix() -> BinaryGeneratorMatrix:
     """The singly-even generator matrix the paper prints, row for row: rho_C(E10)."""
     return rho_c(e10_matrix())
-
-
-@functools.lru_cache(maxsize=None)
-def c40_de_b10() -> BinaryGeneratorMatrix:
-    return rho_b(b10_matrix())

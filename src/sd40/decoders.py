@@ -179,19 +179,14 @@ def _budget_patterns(*erasures: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _e10_words() -> frozenset[int]:
-    """The packed E10 codewords.  Building the set checks the minimum
-    distance 4 that makes a budget's first hit its only one."""
+def _e10_index(keep: int) -> dict[int, int]:
+    """E10 keyed by its codewords masked by keep, which clears at most one
+    column.  Building it checks the minimum distance 4 that makes a
+    budget's first hit its only one."""
     table = e10_table()
     if min(w for w in table.weight_distribution if w) < 4:
         raise InternalInvariantError(f"{table.name} has a nonzero word of weight below 4")
-    return table.word_set
-
-
-@functools.lru_cache(maxsize=None)
-def _e10_index(keep: int) -> dict[int, int]:
-    """E10 keyed by its codewords masked by keep, which clears at most one column."""
-    return {w & keep: w for w in _e10_words()}
+    return {w & keep: w for w in table.word_set}
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,7 +200,8 @@ def find_closest_in_e10(y: int, erasures: tuple[int, ...]) -> int | None:
     """The unique codeword within the budget of the erasure set from y, or
     None.  A decode stage: y is the packed projection of the received word
     and erasures the erasure columns of its case, and neither is checked.
-    InternalInvariantError: E10 has a nonzero word of weight below 4."""
+    InternalInvariantError: E10 has a nonzero word of weight below 4,
+    found as _e10_index builds the index that _probes hands it."""
     keep, index, probes = _probes(*erasures)
     y &= keep
     for e in probes:

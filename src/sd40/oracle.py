@@ -1,16 +1,19 @@
 """Independent ground-truth decoders for the binary [40,20,8] codes.
 
 `oracle_decode` is an information-set search over the reduced basis
-(Prange, 1962).  Each reduced row's pivot, its leading bit, is in no
-other row, so "bit p -> the row whose pivot is p, else 0" is GF(2)-linear
-and maps a word v to `base`, the one codeword that agrees with v on the
-20 pivot positions.  A codeword c within distance 3 of v differs from v,
-and so from base, in at most 3 pivot positions, and a codeword is fixed
-by its pivot bits: c = base ^ u for u one of the 1,351 XORs of at most
-three reduced rows (1 + 20 + 190 + 1140).  The search tries them in turn
-and returns the first within radius 3; minimum distance 8 makes that hit
-the only one.  The argument reads nothing but the table's rows: neither
-the projection decoders nor the coset-leader index.
+(Prange, 1962).  An `OracleTable` is the generator matrix whose rows are
+that basis: its constructor checks them as any `BinaryGeneratorMatrix`
+(20 rows of 40-bit words, rank 20), then that they are reduced.  Each
+reduced row's pivot, its leading bit, is in no other row, so "bit p ->
+the row whose pivot is p, else 0" is GF(2)-linear and maps a word v to
+`base`, the one codeword that agrees with v on the 20 pivot positions.
+A codeword c within distance 3 of v differs from v, and so from base,
+in at most 3 pivot positions, and a codeword is fixed by its pivot
+bits: c = base ^ u for u one of the 1,351 XORs of at most
+three reduced rows (1 + 20 + 190 + 1140).  The search tries them in
+turn and returns the first within radius 3; minimum distance 8 makes
+that hit the only one.  The argument reads nothing but the table's
+rows: neither the projection decoders nor the coset-leader index.
 
 The certified-distance shortcut `indexed_decode` answers the same query
 through a table of the 10701 coset leaders of weight at most 3 (their
@@ -27,22 +30,20 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .constructions import BinaryGeneratorMatrix, row_reduce
+from .constructions import BinaryGeneratorMatrix
 from .gf4 import byte_tables, leader_table
 from .projection import N_BITS, RADIUS
 
 
 @dataclass(frozen=True)
-class OracleTable:
-    """The oracle of a [40,20] code, held as its reduced basis.  Every
-    lookup table is built from the rows on first use."""
-
-    name: str
-    rows: tuple[int, ...]  # reduced basis, read by every lookup table
+class OracleTable(BinaryGeneratorMatrix):
+    """The oracle of a [40,20] code: a generator matrix whose rows are its
+    reduced basis.  Every lookup table is built from the rows on first use."""
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # The search reads each row's leading bit as a pivot in no other row.
-        if row_reduce(self.rows) != tuple(sorted(self.rows, reverse=True)):
+        if self.reduced != tuple(sorted(self.rows, reverse=True)):
             raise ValueError(f"{self.name}: rows are not a reduced basis")
 
     @functools.cached_property

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from sd40 import constructions
 from sd40.constructions import (
+    D4N0,
+    E_B,
+    E_C,
     BinaryGeneratorMatrix,
-    b10_matrix,
     binmap,
-    build_d4n0,
-    build_e_b,
-    build_e_c,
-    c40_de_b10,
     certify,
     d4_block,
     e10_matrix,
@@ -27,6 +25,7 @@ from sd40.constructions import (
     row_reduce,
 )
 from sd40.gf4 import format_symbols, parse_symbols, xor_span
+from sd40.quaternary import b10_matrix
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -54,7 +53,7 @@ def test_binmap_examples():
 
 
 def test_d4n0_generators():
-    gens = build_d4n0()
+    gens = D4N0
     assert len(gens) == 9
     assert format(gens[0], "040b") == "1" * 8 + "0" * 32
     assert format(gens[8], "040b") == "1" * 4 + "0" * 32 + "1" * 4  # blocks 1 and 10
@@ -66,7 +65,7 @@ def test_d4n0_generators():
 
 
 def test_glue_vectors():
-    eb, ec = build_e_b(), build_e_c()
+    eb, ec = E_B, E_C
     assert format(eb, "040b") == "1000" * 9 + "0111"
     assert format(ec, "040b") == "1000" * 10
     assert eb.bit_count() == 12
@@ -168,7 +167,7 @@ def test_certify_se(se_matrix):
 
 
 def test_certify_b10_lift_same_distribution():
-    report = certify(c40_de_b10())
+    report = certify(rho_b(b10_matrix()))
     assert report.weight_distribution == DE_DISTRIBUTION
     assert report.parity_type == "doubly-even"
 
@@ -179,8 +178,8 @@ def test_printed_matrix_spot_rows():
     assert format(rows[4], "040b") == (
         "0011000000110000001100000011000001010110"
     )
-    assert rows[19] == build_e_b()
-    assert printed_se_matrix().rows[19] == build_e_c()
+    assert rows[19] == E_B
+    assert printed_se_matrix().rows[19] == E_C
 
 
 def test_encode_unit_vectors():

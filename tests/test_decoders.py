@@ -670,7 +670,7 @@ def test_budget_tables_agree_on_every_syndrome(e10):
         if len(reps) == 1024:
             break
     assert len(reps) == 1024
-    assert dc._e10_words() == e10.word_set
+    assert dc._e10_index(-1) == {w: w for w in e10.word_set}
     budgets = _case_erasure_sets()
     assert len(budgets) == 176
     assert sum(len(dc._budget_patterns(*erasures)) for erasures in budgets) == 9_551
@@ -696,7 +696,7 @@ def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
         e10.name, e10.word_set, weights))
     # The indexes and the probe lists that hold them are built from the
     # checked set, so they are cleared with it.
-    caches = (dc._e10_words, dc._e10_index, dc._probes)
+    caches = (dc._e10_index, dc._probes)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -711,7 +711,7 @@ def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
     assert dc.find_closest_in_e10(0, ()) == 0
 
 
-def test_punctured_indexes_and_probe_lists():
+def test_punctured_indexes_and_probe_lists(e10):
     # The representation search clears y's first erasure column (none in
     # case I) and probes, in E10 keyed with that column cleared, the budget
     # words that are zero there, in budget order.  One index serves every
@@ -730,7 +730,7 @@ def test_punctured_indexes_and_probe_lists():
     assert len(indexes) == 11
     for cleared, index in indexes.items():
         assert len(index) == 1_024
-        assert set(index.values()) == dc._e10_words()
+        assert set(index.values()) == e10.word_set
         assert all(key == word & ~cleared for key, word in index.items())
 
 

@@ -292,7 +292,6 @@ def _unread_public_names(paths):
 UNREAD_PUBLIC_ALLOWED = {
     "BinaryGeneratorMatrix.contains": "the one membership test of a binary code",
     "rho_a": "the paper's construction A, which test_constructions holds to its weight-4 words",
-    "c40_de_b10": "the DE lift of B10, which certify gives the DE weight distribution",
     "trace_inner": "the paper's trace inner product, checked against its definition",
     "oracle_decode": "the information-set search, the trust anchor of the benchmark's gate and tests",
     "has_projection_o": "the paper's projection O, acceptance criterion 9",
@@ -492,7 +491,7 @@ def test_default_check_sees_an_unpassed_default(tmp_path):
 
 # The package pays for each feature with deletions.  A change that grows
 # src/sd40 raises this constant and says in CHANGES.md why it must.
-SRC_LINE_BUDGET = 1_533
+SRC_LINE_BUDGET = 1_516
 
 
 def test_package_stays_within_its_line_budget():

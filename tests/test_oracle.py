@@ -44,11 +44,11 @@ def test_table_is_its_rows(de_matrix):
 def test_table_refuses_an_unreduced_basis(de_matrix):
     # The construction rows span the code but are not reduced: their
     # leading bits are no pivot map, and a search over them misses
-    # codewords.
+    # codewords.  A 21st row is refused first, as by any generator matrix.
     assert de_matrix.rows != de_matrix.reduced
     with pytest.raises(ValueError, match="not a reduced basis"):
         OracleTable("rows", de_matrix.rows)
-    with pytest.raises(ValueError, match="not a reduced basis"):
+    with pytest.raises(ValueError, match="20 rows"):
         OracleTable("twice", de_matrix.reduced + de_matrix.reduced[:1])
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sd40.constructions import binmap, build_e_b, build_e_c, printed_de_matrix
+from sd40.constructions import E_B, E_C, binmap, printed_de_matrix
 from sd40.decoders import classify_case
 from sd40.gf4 import format_symbols
 from sd40.projection import (
@@ -250,8 +250,8 @@ def test_projection_o_membership(e10, de_matrix, de_oracle, span_entry):
     words = e10.word_set
     for row in de_matrix.rows:
         assert has_projection_o(row, words)
-    assert has_projection_o(build_e_b(), words)
-    assert not has_projection_e(build_e_b(), words)
+    assert has_projection_o(E_B, words)
+    assert not has_projection_e(E_B, words)
     rng = random.Random(17)
     # Random codewords satisfy it; random non-codewords fail it.
     for _ in range(2_000):
@@ -265,7 +265,7 @@ def test_projection_e_membership(e10, se_matrix):
     words = e10.word_set
     for row in se_matrix.rows:
         assert has_projection_e(row, words)
-    assert has_projection_e(build_e_c(), words)
+    assert has_projection_e(E_C, words)
     rng = random.Random(18)
     for _ in range(2_000):
         v = rng.getrandbits(40)

@@ -108,3 +108,28 @@ def test_folded_rows_are_in_the_table():
     for name, word in FOLDED:
         bad_words = _bad_words(WORD_FUNCTIONS[name][0])[1]
         assert any(type(bad) is type(word) and bad == word for bad in bad_words), (name, word)
+
+
+# Each class whose rows NO_WORD says its constructor checks: a row's length
+# and a valid tuple of rows.  A class listed so without an entry here fails.
+ROW_CLASSES = {
+    "BinaryGeneratorMatrix": (40, DE.rows),
+    "OracleTable": (40, ORACLE.rows),
+    "QuaternaryGeneratorMatrix": (10, e10_matrix().linear_rows),
+}
+
+
+@pytest.mark.parametrize("name", [name for name, takes in NO_WORD.items()
+                                  if takes.endswith("its rows are checked by its constructor")])
+def test_each_matrix_class_refuses_a_row_that_is_no_word(name):
+    n, rows = ROW_CLASSES[name]
+    cls = getattr(sd40, name)
+    cls("control", rows)
+    for bad in _bad_words(n)[1]:
+        with pytest.raises(ValueError, match="40-bit" if n == 40 else "symbol") as refused:
+            cls("bad row", rows[:-1] + (bad,))
+        assert str(bad) in str(refused.value), (bad, refused.value)
+    if n == 40:
+        for count in (19, 21):
+            with pytest.raises(ValueError, match=f"expected 20 rows, got {count}"):
+                cls("bad count", (rows * 2)[:count])
