@@ -29,11 +29,9 @@ from .projection import (
     parity_profile,
 )
 from .quaternary import (
-    CodeTable,
     OrbitType,
     QuaternaryGeneratorMatrix,
     classify_type,
-    enumerate_code,
     orbit_census,
 )
 

@@ -245,8 +245,8 @@ def cmd_census(args) -> int:
 
 def cmd_tables(args) -> int:
     tables = {
-        "e10": ("E10", [format_symbols(r, N_COLS) for r in qt.e10_matrix().rows]),
-        "b10": ("B10", [format_symbols(r, N_COLS) for r in qt.b10_matrix().rows]),
+        "e10": ("E10", [format_symbols(r, N_COLS) for r in qt.e10_table().rows]),
+        "b10": ("B10", [format_symbols(r, N_COLS) for r in qt.b10_table().rows]),
         "de": ("C40,1-DE", cn.printed_de_matrix().to_text().splitlines()),
         "se": ("C40,1-SE", cn.printed_se_matrix().to_text().splitlines()),
     }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .gf4 import packed, xor_span
 from .projection import N_BITS, N_COLS, TOP_ROW_MASK, parse_bit_rows
-from .quaternary import QuaternaryGeneratorMatrix, e10_matrix
+from .quaternary import QuaternaryGeneratorMatrix, e10_table
 
 DIMENSION = 20
 
@@ -196,10 +196,10 @@ def parse_matrix_text(text: str) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def printed_de_matrix() -> BinaryGeneratorMatrix:
     """The doubly-even generator matrix the paper prints, row for row: rho_B(E10)."""
-    return rho_b(e10_matrix())
+    return rho_b(e10_table())
 
 
 @functools.lru_cache(maxsize=None)
 def printed_se_matrix() -> BinaryGeneratorMatrix:
     """The singly-even generator matrix the paper prints, row for row: rho_C(E10)."""
-    return rho_c(e10_matrix())
+    return rho_c(e10_table())

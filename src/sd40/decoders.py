@@ -76,7 +76,7 @@ from types import SimpleNamespace
 from .gf4 import InternalInvariantError, byte_tables, hermitian_inner, leader_table, xor_span
 from .projection import (N_BITS, N_COLS, TOP_ROW_MASK, LiftError, lift, parity_profile, proj_bits,
                          read_columns)
-from .quaternary import e10_matrix, e10_table
+from .quaternary import e10_table
 
 FAILURE_REASON = "more than three errors occurred"
 
@@ -223,7 +223,7 @@ def _syndrome_bytes() -> tuple[tuple[int, ...], ...]:
     parity checks by Hermitian self-duality, so symbol k of H conj(y)^T
     is hermitian_inner(row k, y).  It is GF(2)-linear: a word's syndrome
     is the XOR of its three byte syndromes."""
-    rows = e10_matrix().linear_rows
+    rows = e10_table().linear_rows
     return byte_tables([sum(hermitian_inner(row, val << (2 * c), N_COLS) << (2 * k)
                             for k, row in enumerate(rows))
                         for c in range(N_COLS) for val in (1, 2)])

@@ -54,15 +54,15 @@ def read_columns(v: int) -> int:
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     c0, c1, c2, c3, c4 = _COLUMN_BYTES
     return (c0[v & 0xFF] ^ c1[(v >> 8) & 0xFF] ^ c2[(v >> 16) & 0xFF]
-            ^ c3[(v >> 24) & 0xFF] ^ c4[(v >> 32) & 0xFF])
+            ^ c3[(v >> 24) & 0xFF] ^ c4[v >> 32])
 
 
 def proj_bits(v: int) -> int:
     """Packed projection of a 40-bit word, read_columns(v) & 0xFFFFF
-    unchecked: any int outside [0, 2^40) is read by its low 40 bits, silently."""
+    unchecked: its callers pass a word already checked to be 40 bits."""
     c0, c1, c2, c3, c4 = _COLUMN_BYTES
     return (c0[v & 0xFF] ^ c1[(v >> 8) & 0xFF] ^ c2[(v >> 16) & 0xFF]
-            ^ c3[(v >> 24) & 0xFF] ^ c4[(v >> 32) & 0xFF]) & 0xFFFFF
+            ^ c3[(v >> 24) & 0xFF] ^ c4[v >> 32]) & 0xFFFFF
 
 
 def parity_profile(v: int) -> int:
@@ -71,7 +71,7 @@ def parity_profile(v: int) -> int:
         raise ValueError(f"received word {v} is not a {N_BITS}-bit word")
     c0, c1, c2, c3, c4 = _COLUMN_BYTES
     return (c0[v & 0xFF] ^ c1[(v >> 8) & 0xFF] ^ c2[(v >> 16) & 0xFF]
-            ^ c3[(v >> 24) & 0xFF] ^ c4[(v >> 32) & 0xFF]) >> 20
+            ^ c3[(v >> 24) & 0xFF] ^ c4[v >> 32]) >> 20
 
 
 def candidates_for(value: int, parity: int) -> tuple[int, int]:

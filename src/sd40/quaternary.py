@@ -1,11 +1,11 @@
 """The two Hermitian self-dual (10, 2^10, 4) codes over GF(4).
 
-Provides their generator matrices (five GF(4) rows), 1024-codeword tables
-with weight distributions, and the classification of the first code's
-1023 nonzero codewords into eight orbit types: the orbits of the group
-that the paper's automorphisms (12)(34), (13)(24), (13579)(2468 10) and
-the scalar w generate, found by closing each printed representative
-under those four maps.
+Provides their generator matrices, five GF(4) rows from which each matrix
+derives its 1024-codeword tables (word set and weight distribution), and
+the classification of the first code's 1023 nonzero codewords into eight
+orbit types: the orbits of the group that the paper's automorphisms
+(12)(34), (13)(24), (13579)(2468 10) and the scalar w generate, found by
+closing each printed representative under those four maps.
 
 Coordinates are grouped into five blocks (1,2) (3,4) (5,6) (7,8) (9,10);
 block indices and column indices in the public API are 1-based to match
@@ -45,7 +45,8 @@ _B10_ROWS = (
 @dataclass(frozen=True)
 class QuaternaryGeneratorMatrix:
     """Five packed GF(4)-basis rows of a Hermitian self-dual linear code,
-    which is a self-dual additive (10, 2^10) code over GF(4)."""
+    which is a self-dual additive (10, 2^10) code over GF(4).  The
+    constructor checks that the rows span 2^10 words."""
 
     name: str
     linear_rows: tuple[int, ...]
@@ -59,53 +60,32 @@ class QuaternaryGeneratorMatrix:
             for y in self.linear_rows[i:]:
                 if hermitian_inner(x, y, N):
                     raise ValueError(f"{self.name}: rows not self-orthogonal")
+        if len(self.word_set) != CODE_SIZE:
+            raise ValueError(f"{self.name}: rows are GF(2)-dependent")
 
     @functools.cached_property
     def rows(self) -> tuple[int, ...]:
         """GF(2)-basis: the five rows, then their w-multiples."""
         return self.linear_rows + tuple(word_times_w(r, N) for r in self.linear_rows)
 
+    @functools.cached_property
+    def word_set(self) -> frozenset[int]:
+        """All GF(2)-linear combinations of `rows`, packed."""
+        return frozenset(xor_span(self.rows))
 
-@dataclass(frozen=True)
-class CodeTable:
-    """All codewords of an enumerated (10, 2^10) code, packed as ints."""
-
-    name: str
-    word_set: frozenset[int]
-    weight_distribution: dict[int, int]
-
-
-def enumerate_code(matrix: QuaternaryGeneratorMatrix) -> CodeTable:
-    """All 2^10 GF(2)-linear combinations of the rows.
-
-    Raises ValueError if the rows are dependent over GF(2) (span < 2^10).
-    """
-    words = xor_span(matrix.rows)
-    word_set = frozenset(words)
-    if len(word_set) != CODE_SIZE:
-        raise ValueError(f"{matrix.name}: rows are GF(2)-dependent")
-    dist = dict(Counter(word_weight(bits, N) for bits in words))
-    return CodeTable(matrix.name, word_set, dist)
+    @functools.cached_property
+    def weight_distribution(self) -> dict[int, int]:
+        return dict(Counter(word_weight(bits, N) for bits in self.word_set))
 
 
 @functools.lru_cache(maxsize=None)
-def e10_matrix() -> QuaternaryGeneratorMatrix:
+def e10_table() -> QuaternaryGeneratorMatrix:
     return QuaternaryGeneratorMatrix("E10", tuple(parse_symbols(r, N) for r in _E10_ROWS))
 
 
 @functools.lru_cache(maxsize=None)
-def b10_matrix() -> QuaternaryGeneratorMatrix:
+def b10_table() -> QuaternaryGeneratorMatrix:
     return QuaternaryGeneratorMatrix("B10", tuple(parse_symbols(r, N) for r in _B10_ROWS))
-
-
-@functools.lru_cache(maxsize=None)
-def e10_table() -> CodeTable:
-    return enumerate_code(e10_matrix())
-
-
-@functools.lru_cache(maxsize=None)
-def b10_table() -> CodeTable:
-    return enumerate_code(b10_matrix())
 
 
 # ---------------------------------------------------------------------------

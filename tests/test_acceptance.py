@@ -19,7 +19,7 @@ from sd40.constructions import certify, parse_matrix_text, printed_de_matrix, rh
 from sd40.gf4 import xor_span
 from sd40.oracle import indexed_decode
 from sd40.projection import has_projection_e, has_projection_o, parse_array_text, proj_bits
-from sd40.quaternary import b10_table, e10_matrix, e10_table, orbit_census
+from sd40.quaternary import b10_table, e10_table, orbit_census
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -73,7 +73,7 @@ def test_criterion_4_span_equality():
     t0 = time.perf_counter()
     printed = parse_matrix_text((FIXTURES / "g40_de.txt").read_text())
     assert printed_de_matrix().rows == printed
-    assert rho_b(e10_matrix()).rows == printed
+    assert rho_b(e10_table()).rows == printed
     report(4, f"rho_B(E10) is the printed generator matrix, row for row "
               f"({time.perf_counter() - t0:.2f}s)")
 

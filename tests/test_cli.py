@@ -43,6 +43,9 @@ def test_parse_word_forms():
             cli.parse_word(text)
     with pytest.raises(ValueError):
         cli.parse_word("1" * 39 + "2")
+    # Surrounding whitespace, as a shell argument or a file line may carry.
+    assert cli.parse_word(f" {bits}\n") == 1
+    assert cli.parse_word("\t00000000ff ") == 0xFF
 
 
 @given(st.integers(0, (1 << 40) - 1), st.booleans())
@@ -105,8 +108,11 @@ def test_corrupt_positions(capsys):
     assert out.strip() == zero
     code, _, err = run(capsys, "corrupt", zero, "--flip", "3,3")
     assert code == cli.EXIT_USAGE
-    code, _, err = run(capsys, "corrupt", zero, "--flip", "41")
-    assert code == cli.EXIT_USAGE
+    # Position 0 would set a 41st bit, and 41 would shift by -1.
+    for flip in ("0", "41", "2,41"):
+        code, out, err = run(capsys, "corrupt", zero, "--flip", flip)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "positions must lie in 1..40" in err
 
 
 @pytest.mark.parametrize("flip", ["1_0", " +3", "\u0663"])
@@ -288,8 +294,12 @@ def test_fuzz_agreement(capsys):
     code, out, _ = run(
         capsys, "fuzz", "--trials", "500", "--seed", "13", "--max-weight", "5"
     )
+    # Weights up to 5 give both corrected words and declared failures.
     assert code == 0
-    assert "mismatches: 0" in out
+    assert out.splitlines() == [
+        "trials: 500  seed: 13  max weight: 5",
+        "corrected: 325  declared failures: 175  mismatches: 0",
+    ]
     code2, out2, _ = run(
         capsys, "fuzz", "--trials", "500", "--seed", "13", "--max-weight", "5"
     )

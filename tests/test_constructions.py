@@ -15,7 +15,6 @@ from sd40.constructions import (
     binmap,
     certify,
     d4_block,
-    e10_matrix,
     parse_matrix_text,
     printed_de_matrix,
     printed_se_matrix,
@@ -25,7 +24,7 @@ from sd40.constructions import (
     row_reduce,
 )
 from sd40.gf4 import format_symbols, parse_symbols, xor_span
-from sd40.quaternary import b10_matrix
+from sd40.quaternary import b10_table, e10_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -114,22 +113,22 @@ def test_a_lift_is_reduced_once(monkeypatch):
     calls = []
     real = constructions.row_reduce
     monkeypatch.setattr(constructions, "row_reduce", lambda rows: calls.append(1) or real(rows))
-    lifted = rho_b(e10_matrix())
+    lifted = rho_b(e10_table())
     assert len(calls) == 1  # the rank check; `reduced` is then cached
     assert lifted.reduced == row_reduce(lifted.rows)
     # The generator rows are kept in construction order: the images of
     # E10's ten GF(2)-basis rows come first.
-    assert lifted.rows[:10] == tuple(binmap(r) for r in e10_matrix().rows)
+    assert lifted.rows[:10] == tuple(binmap(r) for r in e10_table().rows)
 
 
 def test_rho_c_is_the_printed_se_code(se_matrix):
     # The DE rows with e_C in place of e_B.
     assert se_matrix.rows == _printed_rows("se")
-    assert rho_c(e10_matrix()).rows == _printed_rows("se")
+    assert rho_c(e10_table()).rows == _printed_rows("se")
 
 
 def test_lifts_are_self_dual():
-    for m in (e10_matrix(), b10_matrix()):
+    for m in (e10_table(), b10_table()):
         for construct in (rho_a, rho_b, rho_c):
             lifted = construct(m)
             assert len(lifted.rows) == 20
@@ -137,7 +136,7 @@ def test_lifts_are_self_dual():
 
 
 def test_rho_a_contains_d4(de_matrix):
-    ra = rho_a(e10_matrix())
+    ra = rho_a(e10_table())
     assert ra.contains(d4_block(1))
     # d4 blocks have weight 4, so construction A is not distance 8.
     assert not de_matrix.contains(d4_block(1))
@@ -167,7 +166,7 @@ def test_certify_se(se_matrix):
 
 
 def test_certify_b10_lift_same_distribution():
-    report = certify(rho_b(b10_matrix()))
+    report = certify(rho_b(b10_table()))
     assert report.weight_distribution == DE_DISTRIBUTION
     assert report.parity_type == "doubly-even"
 
@@ -200,6 +199,14 @@ def test_matrix_text_roundtrip():
         parse_matrix_text(text.replace("0", "2", 1))
     with pytest.raises(ValueError):
         parse_matrix_text("\n".join(text.splitlines()[:5]))
+    # A short row, a long row, and full-width rows that int(row, 2) reads but
+    # that are not 0/1 strings: each is refused by the row it sits in.
+    for k, edit in ((3, lambda r: r[:-1]), (7, lambda r: r + "0"),
+                    (12, lambda r: "1_" + r[2:]), (20, lambda r: "+" + r[1:])):
+        lines = text.splitlines()
+        lines[k - 1] = edit(lines[k - 1])
+        with pytest.raises(ValueError, match=f"row {k} is not a 40-character bit string"):
+            parse_matrix_text("\n".join(lines))
 
 
 def test_rank_deficient_matrix_rejected():

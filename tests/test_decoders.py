@@ -1,9 +1,11 @@
 import ast
 import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
+import operator
 import os
 import pickle
 import random
@@ -26,7 +28,7 @@ from sd40.oracle import indexed_decode
 from sd40.projection import (N_COLS, TOP_ROW_MASK, LiftError, format_array_text,
                              has_projection_e, has_projection_o, lift, parity_profile,
                              parse_array_text, proj_bits, read_columns)
-from sd40.quaternary import classify_type, e10_matrix
+from sd40.quaternary import classify_type, e10_table
 
 # The four worked examples: received array, corrected projection,
 # syndrome of the received projection, flipped coordinates, case.
@@ -131,7 +133,7 @@ def test_case_budgets():
 def test_find_closest_examples(e10):
     y1 = parse_symbols("10101001ww", 10)
     assert dc.find_closest_in_e10(y1, ()) == parse_symbols("10101001Ww", 10)
-    row = e10_matrix().rows[4]
+    row = e10_table().rows[4]
     assert dc.find_closest_in_e10(row, ()) == row
     y3 = parse_symbols("wwWWww1100", 10)
     assert dc.find_closest_in_e10(y3, (5, 6)) == parse_symbols("wwWW001100", 10)
@@ -155,7 +157,7 @@ def test_syndrome_byte_tables_match_h():
     # Entry b of table k is H conj(y)^T for the projection y holding b in
     # byte k, symbol r of the syndrome at bits 2r, 2r+1.  The reference
     # multiplies the printed rows out with the field tables alone.
-    assert [format_symbols(r, 10) for r in e10_matrix().linear_rows] == list(H_ROWS)
+    assert [format_symbols(r, 10) for r in e10_table().linear_rows] == list(H_ROWS)
     # Columns 9 and 5 of H, read down the printed rows.
     assert "".join(r[8] for r in H_ROWS) == "0001w" and "".join(r[4] for r in H_ROWS) == "01101"
     h = [[ALPHABET.index(c) for c in row] for row in H_ROWS]
@@ -477,43 +479,50 @@ def _coset_words(table):
     return xor_span([1 << (row.bit_length() - 1) for row in table.rows])
 
 
-E10_INDEX = dc._e10_index  # the coset pass swaps in a counting copy
+PROBES = dc._probes  # the coset pass swaps in a counting copy
 
 
 @pytest.fixture(scope="module")
 def coset_pass(de_oracle, se_oracle):
     """Per code: its 2^20 coset words by (case, verdict, flip count), the
-    representation search's probes by case, counted by a copy of each E10
-    index, and the first words whose syndrome is not their index or where
-    the two decoders and the coset-leader oracle disagree."""
-    probes = [0]
+    representation search's probes by case, and the first words whose
+    syndrome is not their index or where the two decoders and the
+    coset-leader oracle disagree.  The search makes one membership test
+    per probe it takes from its probe list, so the pass hands it each list
+    as a CountedProbes, whose __iter__ keeps the C tuple iterator it
+    returns: a decode's probes are the list's length less the iterator's
+    length hint."""
+    searched = []
 
-    class CountingIndex(dict):
-        def __contains__(self, key):
-            probes[0] += 1
-            return dict.__contains__(self, key)
+    class CountedProbes(tuple):
+        def __iter__(self):
+            searched.append((len(self), it := tuple.__iter__(self)))
+            return it
+
+    @functools.lru_cache(maxsize=None)
+    def counted(*erasures):
+        keep, index, probes = PROBES(*erasures)
+        return keep, index, CountedProbes(probes)
 
     record = {}
-    dc._probes.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dc, "_e10_index", lambda keep: CountingIndex(E10_INDEX(keep)))
-            represent, solve = dc.represent_decode, dc.syndrome_decode
-            for code, table in (("DE", de_oracle), ("SE", se_oracle)):
-                leader, syndrome = table.leader_index.get, table._syndrome
-                words, by_case, wrong = record[code] = Counter(), Counter(), []
-                for i, v in enumerate(_coset_words(table)):
-                    before = probes[0]
-                    r, s = represent(v, code), solve(v, code)
-                    case = r.case and r.case.case_id
-                    by_case[case] += probes[0] - before
-                    words[case, r.ok, r.flips.bit_count()] += 1
-                    want = None if (e := leader(i)) is None else v ^ e
-                    if len(wrong) < 5 and (syndrome(v) != i or r.codeword != want
-                                           or s.codeword != want):
-                        wrong.append(hex(v))
-    finally:
-        dc._probes.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "_probes", counted)
+        represent, solve = dc.represent_decode, dc.syndrome_decode
+        for code, table in (("DE", de_oracle), ("SE", se_oracle)):
+            leader, syndrome = table.leader_index.get, table._syndrome
+            # A word of no case makes no search, and counts 0 probes.
+            words, by_case, wrong = record[code] = Counter(), Counter({None: 0}), []
+            for i, v in enumerate(_coset_words(table)):
+                r, s = represent(v, code), solve(v, code)
+                case = r.case and r.case.case_id
+                if searched:
+                    n, it = searched.pop()
+                    by_case[case] += n - operator.length_hint(it)
+                words[case, r.ok, r.flips.bit_count()] += 1
+                want = None if (e := leader(i)) is None else v ^ e
+                if len(wrong) < 5 and (syndrome(v) != i or r.codeword != want
+                                       or s.codeword != want):
+                    wrong.append(hex(v))
     return record
 
 
@@ -528,7 +537,7 @@ def test_only_sweep_tests_read_the_coset_pass():
 def test_coset_pass_restores_the_search(coset_pass):
     # The first reader of the pass, so no later cache_clear hides a counting
     # copy left in the search's cache.
-    assert dc._e10_index is E10_INDEX and type(dc._probes(1)[1]) is dict
+    assert dc._probes is PROBES and type(dc._probes(1)[2]) is tuple
 
 
 # Each code's coset words by case, verdict and flip count; DE and SE agree.
@@ -692,8 +701,8 @@ def test_search_checks_the_minimum_distance_it_relies_on(monkeypatch, e10):
     # The search stops at its first hit because E10 has no nonzero word of
     # weight below 4.  A code table with a weight-3 word breaks that premise.
     weights = {**e10.weight_distribution, 3: 1}
-    monkeypatch.setattr(dc, "e10_table", lambda: quaternary.CodeTable(
-        e10.name, e10.word_set, weights))
+    monkeypatch.setattr(dc, "e10_table", lambda: SimpleNamespace(
+        name=e10.name, word_set=e10.word_set, weight_distribution=weights))
     # The indexes and the probe lists that hold them are built from the
     # checked set, so they are cleared with it.
     caches = (dc._e10_index, dc._probes)
@@ -737,8 +746,8 @@ def test_punctured_indexes_and_probe_lists(e10):
 @pytest.mark.sweep
 def test_representation_probes_over_every_coset(coset_pass):
     # The work of the representation search on one word of each of the 2^20
-    # syndrome cosets of each code, counted as membership tests in its E10
-    # indexes by the coset pass, so the count is the real search's.
+    # syndrome cosets of each code, counted by the coset pass as the probes
+    # the real search takes from its lists, one E10 membership test each.
     assert sum(sum(coset_pass[code][1].values()) for code in ("DE", "SE")) == 2 * 4_789_198
     # Per case, at most 31, 28, 4 and 16 probes a call.  The search reads
     # only the case and the projection, and SE's cosets give DE's counts.
@@ -782,7 +791,7 @@ def test_projection_domain(y):
 WRONG_LENGTH = {
     "syndrome-11": (dc.syndrome, 1 << 20),
     # An E10 codeword with an eleventh symbol is no codeword.
-    "classify_type-11": (classify_type, e10_matrix().rows[0] | 1 << 20),
+    "classify_type-11": (classify_type, e10_table().rows[0] | 1 << 20),
     "classify_type-int": (classify_type, 1 << 20),
     "orbit-int": (quaternary.orbit, 1 << 20),
     "orbit-negative": (quaternary.orbit, -1),

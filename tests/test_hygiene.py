@@ -297,7 +297,6 @@ UNREAD_PUBLIC_ALLOWED = {
     "has_projection_o": "the paper's projection O, acceptance criterion 9",
     "has_projection_e": "the paper's projection E, acceptance criterion 9",
     "parse_array_text": "the 4x10 array reader of the worked-example fixtures",
-    "b10_table": "acceptance criterion 1: B10's weight enumerator, and a conftest fixture",
     "classify_type": "the paper's eight orbit types of E10 codewords",
     "ZERO": "GF(4)'s element 0 by name, which test_gf4 reads",
     "ONE": "GF(4)'s element 1 by name, which test_gf4 reads",
@@ -491,7 +490,7 @@ def test_default_check_sees_an_unpassed_default(tmp_path):
 
 # The package pays for each feature with deletions.  A change that grows
 # src/sd40 raises this constant and says in CHANGES.md why it must.
-SRC_LINE_BUDGET = 1_516
+SRC_LINE_BUDGET = 1_494
 
 
 def test_package_stays_within_its_line_budget():

@@ -27,7 +27,7 @@ from sd40.projection import (
     proj_bits,
     read_columns,
 )
-from sd40.quaternary import e10_matrix
+from sd40.quaternary import e10_table
 
 SECTION3_ARRAY = """
 1110110010
@@ -273,7 +273,7 @@ def test_projection_e_membership(e10, se_matrix):
 
 
 def test_binmap_images_have_projection_o(e10):
-    for row in e10_matrix().rows:
+    for row in e10_table().rows:
         v = binmap(row)
         assert has_projection_o(v, e10.word_set)
         assert parity_profile(v) == 0
@@ -282,7 +282,7 @@ def test_binmap_images_have_projection_o(e10):
 def test_even_fiber_of_fixed_codeword_has_512_members(de_matrix):
     # All 2^10 all-even-column realizations of one projection codeword;
     # exactly half satisfy the top-row rule and land in the code.
-    w = e10_matrix().rows[4]
+    w = e10_table().rows[4]
     cols = [candidates_for((w >> i) & 3, 0) for i in range(0, 20, 2)]
     members = 0
     for combo in itertools.product(*cols):

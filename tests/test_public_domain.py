@@ -15,12 +15,12 @@ import pytest
 
 import sd40
 from sd40.gf4 import format_symbols
-from sd40.quaternary import e10_matrix, e10_table
+from sd40.quaternary import e10_table
 
 E10_WORDS = e10_table().word_set
 DE = sd40.printed_de_matrix()
 ORACLE = sd40.build_oracle(DE)
-Y0 = e10_matrix().rows[0]  # a nonzero codeword of E10, for the other argument
+Y0 = e10_table().rows[0]  # a nonzero codeword of E10, for the other argument
 
 # name -> (word length, the call with the word in the slot under test)
 WORD_FUNCTIONS = {
@@ -47,7 +47,6 @@ NO_WORD = {
     "BinaryGeneratorMatrix": "a class; its rows are checked by its constructor",
     "CaseLabel": "a class, built by the case table alone",
     "CertificationReport": "a class, built by certify",
-    "CodeTable": "a class, built by enumerate_code",
     "DecodeOutcome": "a class, built by the decoders",
     "InternalInvariantError": "an exception",
     "OracleTable": "a class; its rows are checked by its constructor",
@@ -55,7 +54,6 @@ NO_WORD = {
     "QuaternaryGeneratorMatrix": "a class; its rows are checked by its constructor",
     "build_oracle": "a binary generator matrix",
     "certify": "a binary generator matrix",
-    "enumerate_code": "a quaternary generator matrix",
     "orbit_census": "nothing",
     "parse_symbols": "a word's text, which it reads into a word",
     "printed_de_matrix": "nothing",
@@ -115,7 +113,7 @@ def test_folded_rows_are_in_the_table():
 ROW_CLASSES = {
     "BinaryGeneratorMatrix": (40, DE.rows),
     "OracleTable": (40, ORACLE.rows),
-    "QuaternaryGeneratorMatrix": (10, e10_matrix().linear_rows),
+    "QuaternaryGeneratorMatrix": (10, e10_table().linear_rows),
 }
 
 
