@@ -52,6 +52,11 @@ def _flip_weight(option: str, weight: int) -> int:
     return weight
 
 
+def _random_flips(rng: random.Random, bound: int) -> int:
+    """A 40-bit mask of rng.randint(0, bound) distinct bits, drawn in one sample."""
+    return sum(1 << p for p in rng.sample(range(N_BITS), rng.randint(0, bound)))
+
+
 def _matrix_for(code: str) -> cn.BinaryGeneratorMatrix:
     if code not in ("DE", "SE"):
         raise ValueError(f"code must be DE or SE, got {code!r}")
@@ -159,7 +164,10 @@ def cmd_encode(args) -> int:
 
 def cmd_corrupt(args) -> int:
     word = parse_word(args.word)
-    if args.flip is not None:
+    if args.flip is None:
+        rng = random.Random(args.seed)
+        word ^= _random_flips(rng, _flip_weight("--random-weight", args.random_weight))
+    else:
         parts = [part.strip() for part in args.flip.split(",")]
         if any(part and not (part.isascii() and part.isdigit()) for part in parts):
             raise ValueError(f"positions must be comma-separated decimals: {args.flip!r}")
@@ -168,12 +176,7 @@ def cmd_corrupt(args) -> int:
             raise ValueError("positions must be distinct")
         if any(not 1 <= p <= N_BITS for p in positions):
             raise ValueError(f"positions must lie in 1..{N_BITS}")
-    else:
-        rng = random.Random(args.seed)
-        weight = rng.randint(0, _flip_weight("--random-weight", args.random_weight))
-        positions = rng.sample(range(1, N_BITS + 1), weight)
-    for p in positions:
-        word ^= 1 << (N_BITS - p)
+        word ^= sum(1 << (N_BITS - p) for p in positions)
     print(format_word(word, args.hex))
     return EXIT_OK
 
@@ -209,11 +212,7 @@ def cmd_fuzz(args) -> int:
     table = _oracle_for(args.code)
     corrected = failures = mismatches = 0
     for _ in range(args.trials):
-        cw = matrix.encode(rng.getrandbits(20))
-        weight = rng.randint(0, max_weight)
-        v = cw
-        for p in rng.sample(range(N_BITS), weight):
-            v ^= 1 << p
+        v = matrix.encode(rng.getrandbits(20)) ^ _random_flips(rng, max_weight)
         r = dc.represent_decode(v, args.code)
         s = dc.syndrome_decode(v, args.code)
         o = oc.indexed_decode(v, table)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .gf4 import InternalInvariantError, byte_tables
+from .quaternary import e10_table
 
 N_BITS = 40
 N_COLS = 10
@@ -84,24 +85,24 @@ def candidates_for(value: int, parity: int) -> tuple[int, int]:
     return (pats[0], pats[1]) if parity == 0 else (pats[2], pats[3])
 
 
-def _has_projection(v: int, code_words: frozenset[int], top_follows_columns: bool) -> bool:
-    """Projection membership: projection in the code, uniform column
-    parity, and a top-row parity equal to the column parity when
+def _has_projection(v: int, top_follows_columns: bool) -> bool:
+    """Projection membership: projection in E10, uniform column parity,
+    and a top-row parity equal to the column parity when
     top_follows_columns (projection O), even otherwise (projection E)."""
     parities, y = divmod(read_columns(v), 1 << 20)
     top = parities & 1 if top_follows_columns else 0
     return (parities in (0, (1 << N_COLS) - 1)
-            and (v & TOP_ROW_MASK).bit_count() & 1 == top and y in code_words)
+            and (v & TOP_ROW_MASK).bit_count() & 1 == top and y in e10_table().word_set)
 
 
-def has_projection_o(v: int, code_words: frozenset[int]) -> bool:
+def has_projection_o(v: int) -> bool:
     """Projection-O membership: the top row has the column parity."""
-    return _has_projection(v, code_words, True)
+    return _has_projection(v, True)
 
 
-def has_projection_e(v: int, code_words: frozenset[int]) -> bool:
+def has_projection_e(v: int) -> bool:
     """Projection-E membership: the top row is even."""
-    return _has_projection(v, code_words, False)
+    return _has_projection(v, False)
 
 
 # A majority column's flips for error symbol s; an erasure toggles the top bit too.

@@ -77,7 +77,7 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
 
 def test_encode_first_unit_vector(capsys):
     code, out, _ = run(capsys, "encode", "1" + "0" * 19)
-    assert code == 0
+    assert code == cli.EXIT_OK == 0
     assert out.strip() == word_str(printed_de_matrix().rows[0])
 
 
@@ -96,7 +96,7 @@ def test_encode_se(capsys):
 
 def test_encode_bad_message(capsys):
     code, _, err = run(capsys, "encode", "101")
-    assert code == cli.EXIT_USAGE
+    assert code == cli.EXIT_USAGE == 2
     assert "error" in err
 
 
@@ -104,6 +104,10 @@ def test_corrupt_positions(capsys):
     zero = "0" * 40
     code, out, _ = run(capsys, "corrupt", zero, "--flip", "1")
     assert out.strip() == "1" + "0" * 39
+    code, out, _ = run(capsys, "corrupt", zero, "--flip", "40")
+    assert code == cli.EXIT_OK and out.strip() == "0" * 39 + "1"
+    code, out, _ = run(capsys, "corrupt", zero, "--flip", "1,40")
+    assert out.strip() == "1" + "0" * 38 + "1"
     code, out, _ = run(capsys, "corrupt", zero, "--flip", "")
     assert out.strip() == zero
     code, _, err = run(capsys, "corrupt", zero, "--flip", "3,3")
@@ -141,6 +145,22 @@ def test_corrupt_random_reproducible(capsys):
     _, out1, _ = run(capsys, "corrupt", zero, "--random-weight", "3", "--seed", "9")
     _, out2, _ = run(capsys, "corrupt", zero, "--random-weight", "3", "--seed", "9")
     assert out1 == out2
+
+
+def test_corrupt_random_draw_covers_the_word(capsys):
+    zero = "0" * 40
+    # Weight 0 draws no flip, whatever the seed.
+    for seed in range(5):
+        assert run(capsys, "corrupt", zero, "--random-weight", "0", "--seed", str(seed)) == (
+            cli.EXIT_OK, zero + "\n", "")
+    # Each draw stays a 40-bit word, and the draws reach every coordinate,
+    # 1 and 40 included.
+    reached = set()
+    for seed in range(20):
+        code, out, _ = run(capsys, "corrupt", zero, "--random-weight", "40", "--seed", str(seed))
+        assert code == cli.EXIT_OK and len(out) == 41 and not set(out.strip()) - {"0", "1"}
+        reached |= {k for k, bit in enumerate(out.strip(), 1) if bit == "1"}
+    assert reached == set(range(1, 41))
 
 
 def _as_oracle(transcript):
@@ -241,7 +261,7 @@ def test_decode_failure_exit_code(capsys):
     v = cw ^ (0xF << 20)
     for algo in ("repr", "synd", "oracle"):
         code, out, _ = run(capsys, "decode", word_str(v), "--algorithm", algo)
-        assert code == cli.EXIT_FAILURE
+        assert code == cli.EXIT_FAILURE == 1
         assert out.strip() == "more than three errors occurred"
 
 
@@ -327,6 +347,39 @@ def test_fuzz_counts_a_disagreement(capsys, monkeypatch):
 def test_fuzz_bad_trials(capsys):
     code, _, err = run(capsys, "fuzz", "--trials", "0")
     assert code == cli.EXIT_USAGE
+
+
+def test_fuzz_one_trial(capsys):
+    code, out, _ = run(capsys, "fuzz", "--trials", "1")
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[0] == "trials: 1  seed: 0  max weight: 3"
+
+
+def test_no_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main([])
+    assert exited.value.code == cli.EXIT_USAGE == 2
+    assert capsys.readouterr().err.startswith("usage: sd40")
+
+
+# Each command parsed with no options.  The benchmark runs
+# `fuzz --trials 1000 --seed S`, so it reads --max-weight's default.
+@pytest.mark.parametrize("argv, options", [
+    (["encode", "0" * 20], {"message": "0" * 20, "code": "DE", "hex": False}),
+    (["corrupt", "0" * 10], {"word": "0" * 10, "flip": None, "random_weight": 3, "seed": 0,
+                             "hex": False}),
+    (["decode", "0" * 10], {"word": "0" * 10, "algorithm": "repr", "code": "DE",
+                            "verbose": False}),
+    (["certify", "g.txt"], {"matrix_file": "g.txt"}),
+    (["fuzz"], {"trials": 10000, "seed": 0, "max_weight": 3, "code": "DE"}),
+    (["census"], {}),
+    (["tables"], {"which": "all"}),
+])
+def test_option_defaults(argv, options):
+    args = vars(cli.build_parser().parse_args(argv))
+    assert args.pop("command") == argv[0]
+    assert args.pop("func") is getattr(cli, f"cmd_{argv[0]}")
+    assert args == options
 
 
 @pytest.mark.parametrize("weight", ["41", "-1"])

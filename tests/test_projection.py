@@ -246,36 +246,34 @@ def test_column_patterns_are_proj_fibers():
         assert a ^ b == 0xF  # complements
 
 
-def test_projection_o_membership(e10, de_matrix, de_oracle, span_entry):
-    words = e10.word_set
+def test_projection_o_membership(de_matrix, de_oracle, span_entry):
     for row in de_matrix.rows:
-        assert has_projection_o(row, words)
-    assert has_projection_o(E_B, words)
-    assert not has_projection_e(E_B, words)
+        assert has_projection_o(row)
+    assert has_projection_o(E_B)
+    assert not has_projection_e(E_B)
     rng = random.Random(17)
     # Random codewords satisfy it; random non-codewords fail it.
     for _ in range(2_000):
         w = span_entry(de_oracle.rows, rng.randrange(1 << 20))
-        assert has_projection_o(w, words)
+        assert has_projection_o(w)
         v = rng.getrandbits(40)
-        assert has_projection_o(v, words) == de_matrix.contains(v)
+        assert has_projection_o(v) == de_matrix.contains(v)
 
 
-def test_projection_e_membership(e10, se_matrix):
-    words = e10.word_set
+def test_projection_e_membership(se_matrix):
     for row in se_matrix.rows:
-        assert has_projection_e(row, words)
-    assert has_projection_e(E_C, words)
+        assert has_projection_e(row)
+    assert has_projection_e(E_C)
     rng = random.Random(18)
     for _ in range(2_000):
         v = rng.getrandbits(40)
-        assert has_projection_e(v, words) == se_matrix.contains(v)
+        assert has_projection_e(v) == se_matrix.contains(v)
 
 
 def test_binmap_images_have_projection_o(e10):
-    for row in e10_table().rows:
+    for row in e10.rows:
         v = binmap(row)
-        assert has_projection_o(v, e10.word_set)
+        assert has_projection_o(v)
         assert parity_profile(v) == 0
 
 

@@ -9,15 +9,16 @@ other exported callable is on the no-word list, so a new function of a
 word fails the census until it gets its row.
 """
 
+import dataclasses
 import inspect
 
 import pytest
 
 import sd40
+from sd40 import cli
 from sd40.gf4 import format_symbols
-from sd40.quaternary import e10_table
+from sd40.quaternary import ORBIT_TYPES, e10_table
 
-E10_WORDS = e10_table().word_set
 DE = sd40.printed_de_matrix()
 ORACLE = sd40.build_oracle(DE)
 Y0 = e10_table().rows[0]  # a nonzero codeword of E10, for the other argument
@@ -28,8 +29,8 @@ WORD_FUNCTIONS = {
     "classify_case": (40, sd40.classify_case),
     "classify_type": (10, sd40.classify_type),
     "format_symbols": (10, lambda w: sd40.format_symbols(w, 10)),
-    "has_projection_e": (40, lambda v: sd40.has_projection_e(v, E10_WORDS)),
-    "has_projection_o": (40, lambda v: sd40.has_projection_o(v, E10_WORDS)),
+    "has_projection_e": (40, sd40.has_projection_e),
+    "has_projection_o": (40, sd40.has_projection_o),
     "hermitian_inner(x)": (10, lambda w: sd40.hermitian_inner(w, Y0, 10)),
     "hermitian_inner(y)": (10, lambda w: sd40.hermitian_inner(Y0, w, 10)),
     "indexed_decode": (40, lambda v: sd40.indexed_decode(v, ORACLE)),
@@ -131,3 +132,15 @@ def test_each_matrix_class_refuses_a_row_that_is_no_word(name):
         for count in (19, 21):
             with pytest.raises(ValueError, match=f"expected 20 rows, got {count}"):
                 cls("bad count", (rows * 2)[:count])
+
+
+def test_shared_records_are_frozen():
+    # e10_table() is one cached object that every layer reads, and the
+    # others are handed to every caller: none may change in place.
+    records = [e10_table(), ORBIT_TYPES[0], DE, ORACLE, sd40.classify_case(0),
+               sd40.represent_decode(0), cli.decode_transcript(0, "repr", "DE"),
+               sd40.CertificationReport("C", True, 8, {0: 1, 8: 1}, "doubly-even")]
+    for record in records:
+        for name in (f.name for f in dataclasses.fields(record)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
